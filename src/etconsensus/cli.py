@@ -2,7 +2,8 @@
 theorem-vs-observation bound checks.
 
 Exit codes: 0 success, 2 validation error (the message names the offending
-field), 3 suspected Zeno abort.
+field), 3 suspected Zeno abort. A sweep with an aborted point still runs the
+remaining points and writes metrics.csv for those that finished.
 """
 
 from __future__ import annotations
@@ -159,17 +160,21 @@ def cmd_run(args) -> int:
     points = sweep_points(cfg)
     sweep_keys = tuple(key for key, _ in cfg.sweep)
     rows = []
+    aborted = False
     for index, overrides in enumerate(points):
         law, sim = (cfg.law, cfg.sim) if not overrides else apply_overrides(cfg, overrides)
         _warn_periodic(law, cfg.graph, args.quiet)
+        point_dir = out_dir if len(points) == 1 else out_dir / f"point_{index:03d}"
         try:
             trace = _simulate(cfg, law, sim)
         except ZenoAbort as exc:
-            _write(out_dir / "events.csv", events_to_csv(exc.events))
-            print(f"zeno abort: {exc}", file=sys.stderr)
-            return 3
+            # Keep the partial event log and go on with the remaining points.
+            _write(point_dir / "events.csv", events_to_csv(exc.events))
+            label = f" {overrides}" if overrides else ""
+            print(f"zeno abort{label}: {exc}", file=sys.stderr)
+            aborted = True
+            continue
         m = compute_run_metrics(trace, sim.zeno_floor)
-        point_dir = out_dir if len(points) == 1 else out_dir / f"point_{index:03d}"
         _write(point_dir / "trace.csv", trace_to_csv(trace))
         _write(point_dir / "events.csv", events_to_csv(trace.events))
         _write(point_dir / "metrics.txt", metrics_kv_block(m))
@@ -180,9 +185,10 @@ def cmd_run(args) -> int:
             print(f"run{label}: events={m.events_total} "
                   f"final_disagreement={m.final_disagreement:.6g}")
             print(format_bound_report(check_bounds(m, law, cfg.graph, sim.event_tol)), end="")
-    header = metrics_csv_header(sweep_keys)
-    _write(out_dir / "metrics.csv", header + "\n" + "\n".join(rows) + "\n")
-    return 0
+    if rows:
+        header = metrics_csv_header(sweep_keys)
+        _write(out_dir / "metrics.csv", header + "\n" + "\n".join(rows) + "\n")
+    return 3 if aborted else 0
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,16 @@ def random_x0(seed: int, lo: float, hi: float, n: int) -> np.ndarray:
 # Experiment configs
 # ---------------------------------------------------------------------------
 
-LAW_KEYS = {
-    "ideal": (),
-    "centralized": ("sigma",),
-    "decentralized_state": ("a", "sigma_i"),
-    "time_dependent": ("c0", "c1", "alpha"),
-    "state_dependent": ("sigma_i",),
-    "directed_state_dependent": ("sigma_i",),
-    "periodic_state_dependent": ("h", "sigma_i"),
+#: law.type -> (law class, required keys, whether sigma_i is accepted). Every
+#: config key is also the name of the law's dataclass field.
+LAWS = {
+    "ideal": (None, (), False),
+    "centralized": (CentralizedNorm, ("sigma",), False),
+    "decentralized_state": (DecentralizedState, ("a",), True),
+    "time_dependent": (TimeDependent, ("c0", "c1", "alpha"), False),
+    "state_dependent": (StateDependent, (), True),
+    "directed_state_dependent": (DirectedStateDependent, (), True),
+    "periodic_state_dependent": (PeriodicStateDependent, ("h",), True),
 }
 
 SIM_KEYS = ("dt", "horizon", "event_tol", "zeno_floor", "sample_every")
@@ -167,69 +169,38 @@ def _parse_graph_section(parser, base: Path) -> WeightedDigraph:
         raise ConfigError(f"graph: {exc}")
 
 
-def _parse_law_section(parser, g: WeightedDigraph) -> Optional[TriggerLaw]:
+def _parse_law_section(parser, g: WeightedDigraph):
+    """(law or None for the ideal controller, the law's config keys)."""
     if not parser.has_section("law"):
         raise ConfigError("missing [law] section")
     section = dict(parser.items("law"))
     law_type = section.pop("type", None)
     if law_type is None:
         raise ConfigError("law.type: missing")
-    if law_type not in LAW_KEYS:
+    if law_type not in LAWS:
         raise ConfigError(
-            f"law.type: unknown law {law_type!r}; choose from {sorted(LAW_KEYS)}"
+            f"law.type: unknown law {law_type!r}; choose from {sorted(LAWS)}"
         )
-    allowed = set(LAW_KEYS[law_type])
-    unknown = set(section) - allowed
+    cls, required, has_sigma_i = LAWS[law_type]
+    keys = required + ("sigma_i",) * has_sigma_i
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"law: keys {sorted(unknown)} not valid for type {law_type}")
-
-    def sigma_i_value():
-        raw = section.get("sigma_i")
-        if raw is None:
-            return None
-        values = _floats(raw, "law.sigma_i")
-        return values[0] if len(values) == 1 else tuple(values)
-
+    if cls is None:
+        return None, keys
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"law.{key}: missing")
+    kwargs = {key: _float(section[key], f"law.{key}") for key in required}
+    if "sigma_i" in section:
+        values = _floats(section["sigma_i"], "law.sigma_i")
+        kwargs["sigma_i"] = values[0] if len(values) == 1 else tuple(values)
     try:
-        if law_type == "ideal":
-            return None
-        if law_type == "centralized":
-            if "sigma" not in section:
-                raise ConfigError("law.sigma: missing")
-            law: TriggerLaw = CentralizedNorm(sigma=_float(section["sigma"], "law.sigma"))
-        elif law_type == "decentralized_state":
-            if "a" not in section:
-                raise ConfigError("law.a: missing")
-            kwargs = {"a": _float(section["a"], "law.a")}
-            si = sigma_i_value()
-            if si is not None:
-                kwargs["sigma_i"] = si
-            law = DecentralizedState(**kwargs)
-        elif law_type == "time_dependent":
-            for key in ("c0", "c1", "alpha"):
-                if key not in section:
-                    raise ConfigError(f"law.{key}: missing")
-            law = TimeDependent(
-                c0=_float(section["c0"], "law.c0"),
-                c1=_float(section["c1"], "law.c1"),
-                alpha=_float(section["alpha"], "law.alpha"),
-            )
-        elif law_type in ("state_dependent", "directed_state_dependent"):
-            cls = StateDependent if law_type == "state_dependent" else DirectedStateDependent
-            si = sigma_i_value()
-            law = cls() if si is None else cls(sigma_i=si)
-        else:  # periodic_state_dependent
-            if "h" not in section:
-                raise ConfigError("law.h: missing")
-            kwargs = {"h": _float(section["h"], "law.h")}
-            si = sigma_i_value()
-            if si is not None:
-                kwargs["sigma_i"] = si
-            law = PeriodicStateDependent(**kwargs)
+        law = cls(**kwargs)
         validate_law(law, g)
-        return law
     except InvalidParameter as exc:
         raise ConfigError(f"law: {exc}")
+    return law, keys
 
 
 def _parse_sim_section(parser, g: WeightedDigraph):
@@ -285,6 +256,8 @@ def _parse_run_section(parser, g: WeightedDigraph):
         if len(values) != g.n:
             raise ConfigError(f"run.x0: expected {g.n} values, got {len(values)}")
         x0 = np.array(values)
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"run.x0: values must be finite, got {raw!r}")
     return x0, section.get("output_dir", "out")
 
 
@@ -316,14 +289,13 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = _parser(path)
     g = _parse_graph_section(parser, path.parent)
-    law = _parse_law_section(parser, g)
+    law, law_keys = _parse_law_section(parser, g)
     sim, sim_raw = _parse_sim_section(parser, g)
     x0, output_dir = _parse_run_section(parser, g)
     unknown = set(parser.sections()) - {"graph", "law", "sim", "run", "sweep", "linear_et"}
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
-    law_type = next(k for k, v in LAW_KEYS.items() if _law_matches(law, k))
-    sweep = _parse_sweep_section(parser, law, LAW_KEYS[law_type])
+    sweep = _parse_sweep_section(parser, law, law_keys)
     return ExperimentConfig(
         graph=g,
         law=law,
@@ -333,19 +305,6 @@ def load_config(path) -> ExperimentConfig:
         sweep=sweep,
         sim_raw=sim_raw,
     )
-
-
-def _law_matches(law, law_type: str) -> bool:
-    mapping = {
-        "ideal": type(None),
-        "centralized": CentralizedNorm,
-        "decentralized_state": DecentralizedState,
-        "time_dependent": TimeDependent,
-        "state_dependent": StateDependent,
-        "directed_state_dependent": DirectedStateDependent,
-        "periodic_state_dependent": PeriodicStateDependent,
-    }
-    return isinstance(law, mapping[law_type])
 
 
 def sweep_points(cfg: ExperimentConfig):

@@ -1,12 +1,15 @@
 """Closed-loop simulation of xdot = -L xhat with sample-and-hold broadcasts.
 
 Between events the broadcast vector xhat is frozen, so the state moves along
-a straight line x(t) = x(t0) - (t - t0) L xhat. The integrator is a classical
-fixed-step 4th-order scheme (exact on those linear segments); event times are
-located by bisecting the firing predicate over the violating step. Broadcasts
-are received instantaneously: an event may enable further events at the same
-instant, which are processed in ascending agent-id order so runs are
-reproducible.
+a straight line x(t) = x(t0) - (t - t0) L xhat; triggered runs advance it as
+x + s v with v = -L xhat, on a fixed step grid. Event times are located by
+bisecting the firing predicate over the violating step. Firing is decided by
+one array rule per law that returns, bit for bit, the agents the scalar
+``triggers.eval_*`` functions (the per-agent reference API) would fire.
+Broadcasts are received instantaneously: an event may enable further events
+at the same instant, which are processed in ascending agent-id order so runs
+are reproducible. The ideal continuous controller (no events) is integrated
+with a classical fixed-step 4th-order scheme, which is accurate but not exact.
 """
 
 from __future__ import annotations
@@ -17,14 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import triggers as trig
 from .errors import InvalidParameter, ZenoAbort
 from .graph import WeightedDigraph, laplacian, spectral_info
 from .triggers import (
-    AgentView,
     CentralizedNorm,
     DecentralizedState,
-    DirectedStateDependent,
     PeriodicStateDependent,
     StateDependent,
     TimeDependent,
@@ -165,6 +165,8 @@ def _check_x0(g: WeightedDigraph, x0) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (g.n,):
         raise InvalidParameter(f"x0 must have length {g.n}, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidParameter(f"x0 must be finite, got {x0.tolist()}")
     return x0.copy()
 
 
@@ -210,130 +212,90 @@ def _lyapunov(x: np.ndarray, xbar: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Law drivers: firing predicates over the engine state
+# Firing rules: one array predicate per law
 # ---------------------------------------------------------------------------
 
-class _Driver:
-    """Adapter from engine state (t, x, xhat) to the trigger evaluators."""
-
-    centralized = False
-    periodic = False
-
-    def __init__(self, g: WeightedDigraph, law: TriggerLaw, lap: np.ndarray):
-        self.n = g.n
-        self.law = law
-        self.lap = lap
-        w = g.weights
-        self._idx = [np.flatnonzero(w[i] > 0.0) for i in range(g.n)]
-        self._wrow = [tuple(float(w[i, j]) for j in self._idx[i]) for i in range(g.n)]
-        self._d_out = [float(w[i].sum()) for i in range(g.n)]
-        self._card = [len(self._idx[i]) for i in range(g.n)]
-
-    def view(self, i: int, t: float, x: np.ndarray, xhat: np.ndarray) -> AgentView:
-        nbrs = tuple(
-            (int(j), wij, float(xhat[j]))
-            for j, wij in zip(self._idx[i], self._wrow[i])
-        )
-        return AgentView(
-            i=i,
-            x_i=float(x[i]),
-            xhat_i=float(xhat[i]),
-            xhat_neighbors=nbrs,
-            t=t,
-            d_out_i=self._d_out[i],
-            card_ni=self._card[i],
-        )
-
-    def on_broadcast(self, t: float, x: np.ndarray, xhat: np.ndarray) -> None:
-        pass
-
-    def fired(self, t: float, x: np.ndarray, xhat: np.ndarray) -> list:
-        raise NotImplementedError
+_NONE = np.zeros(0, dtype=int)
+_ALL = np.array([ALL_AGENTS])
 
 
-class _CentralizedDriver(_Driver):
-    centralized = True
+def _firing_rule(g: WeightedDigraph, law: TriggerLaw, lap: np.ndarray, norm_l: float):
+    """Vectorized firing predicate of ``law`` on ``g``.
 
-    def __init__(self, g, law, lap, norm_l):
-        super().__init__(g, law, lap)
-        self.norm_l = norm_l
+    Returns ``(fired, refresh)``. ``fired(t, x, xhat)`` is the ascending array
+    of agents whose predicate holds (``[ALL_AGENTS]`` for the centralized
+    law). ``refresh(xhat)`` recomputes and returns the cached thresholds of
+    the state-dependent family, which depend only on broadcast values; it
+    returns None for the other laws.
 
-    def fired(self, t, x, xhat):
-        if trig.eval_centralized(self.law.sigma, x, xhat, self.lap, self.norm_l):
-            return [ALL_AGENTS]
-        return []
+    Neighbour sums run over a padded (agent, slot) table in ascending
+    neighbour order, one slot at a time, so every threshold is the same
+    float as the scalar evaluator's in ``triggers``. Padding slots point at
+    the agent itself with weight 0 and so add exactly zero.
+    """
+    n, w = g.n, g.weights
+    nbrs = [np.flatnonzero(w[i] > 0.0) for i in range(n)]
+    card = np.array([len(js) for js in nbrs])
+    idx = np.repeat(np.arange(n)[:, None], card.max(), axis=1)
+    wts = np.zeros(idx.shape)
+    for i, js in enumerate(nbrs):
+        idx[i, : len(js)] = js
+        wts[i, : len(js)] = w[i, js]
 
+    def slot_sum(terms: np.ndarray) -> np.ndarray:
+        total = np.zeros(n)
+        for s in range(terms.shape[1]):
+            total = total + terms[:, s]
+        return total
 
-class _DecentralizedDriver(_Driver):
-    def __init__(self, g, law, lap):
-        super().__init__(g, law, lap)
-        self.sigmas = per_agent_sigmas(law.sigma_i, g.n)
+    def no_refresh(xhat):
+        return None
 
-    def fired(self, t, x, xhat):
-        out = []
-        for i in range(self.n):
-            exact = [(int(j), float(x[j])) for j in self._idx[i]]
-            if trig.eval_decentralized_state(
-                self.view(i, t, x, xhat), float(self.sigmas[i]), self.law.a, exact
-            ):
-                out.append(i)
-        return out
-
-
-class _TimeDriver(_Driver):
-    def fired(self, t, x, xhat):
-        law = self.law
-        return [
-            i
-            for i in range(self.n)
-            if trig.eval_time_dependent(float(xhat[i] - x[i]), t, law.c0, law.c1, law.alpha)
-        ]
-
-
-class _StateDriver(_Driver):
-    """State-dependent family; thresholds depend only on broadcast values,
-    so they are cached and refreshed at each broadcast."""
-
-    def __init__(self, g, law, lap, directed_form: bool):
-        super().__init__(g, law, lap)
-        self.sigmas = per_agent_sigmas(law.sigma_i, g.n)
-        self.directed_form = directed_form
-        self._thresholds = np.zeros(g.n)
-
-    def on_broadcast(self, t, x, xhat):
-        fn = (
-            trig.directed_state_dependent_threshold
-            if self.directed_form
-            else trig.state_dependent_threshold
-        )
-        for i in range(self.n):
-            self._thresholds[i] = fn(self.view(i, t, x, xhat), float(self.sigmas[i]))
-
-    def fired(self, t, x, xhat):
-        out = []
-        for i in range(self.n):
-            e = xhat[i] - x[i]
-            if e != 0.0 and e * e >= self._thresholds[i]:
-                out.append(i)
-        return out
-
-
-def _make_driver(g, law, lap, norm_l) -> _Driver:
     if isinstance(law, CentralizedNorm):
-        return _CentralizedDriver(g, law, lap, norm_l)
-    if isinstance(law, DecentralizedState):
-        return _DecentralizedDriver(g, law, lap)
+        def fired(t, x, xhat):
+            err = float(np.linalg.norm(xhat - x))
+            bound = law.sigma * float(np.linalg.norm(lap @ x)) / norm_l
+            return _ALL if err != 0.0 and err >= bound else _NONE
+        return fired, no_refresh
+
     if isinstance(law, TimeDependent):
-        return _TimeDriver(g, law, lap)
+        def fired(t, x, xhat):
+            e = xhat - x
+            bound = law.c0 + law.c1 * math.exp(-law.alpha * t)
+            return np.flatnonzero((e != 0.0) & (np.abs(e) >= bound))
+        return fired, no_refresh
+
+    sigma = per_agent_sigmas(law.sigma_i, n)
+    if isinstance(law, DecentralizedState):
+        coef = sigma * law.a * (1.0 - law.a * card) / card
+
+        def fired(t, x, xhat):
+            z = slot_sum(x[:, None] - x[idx])
+            e = xhat - x
+            return np.flatnonzero((e != 0.0) & (e * e >= coef * z * z))
+        return fired, no_refresh
+
     if isinstance(law, StateDependent):
-        return _StateDriver(g, law, lap, directed_form=False)
-    if isinstance(law, DirectedStateDependent):
-        return _StateDriver(g, law, lap, directed_form=True)
-    if isinstance(law, PeriodicStateDependent):
-        drv = _StateDriver(g, law, lap, directed_form=True)
-        drv.periodic = True
-        return drv
-    raise InvalidParameter(f"unknown trigger law {law!r}")
+        def threshold(xhat):
+            d = xhat[:, None] - xhat[idx]
+            return sigma * slot_sum(d * d) / (4.0 * card)
+    else:  # directed and periodic state-dependent
+        d_out = np.array([w[i].sum() for i in range(n)])
+
+        def threshold(xhat):
+            d = xhat[:, None] - xhat[idx]
+            return sigma * slot_sum(wts * d * d) / (4.0 * d_out)
+
+    thr = np.zeros(n)
+
+    def refresh(xhat):
+        thr[:] = threshold(xhat)
+        return thr
+
+    def fired(t, x, xhat):
+        e = xhat - x
+        return np.flatnonzero((e != 0.0) & (e * e >= thr))
+    return fired, refresh
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +325,8 @@ def simulate_triggered(
     xbar = float(x0.mean())
 
     dt, horizon = cfg.dt, cfg.horizon
-    steps_per_h = 0
-    if isinstance(law, PeriodicStateDependent):
+    periodic = isinstance(law, PeriodicStateDependent)
+    if periodic:
         # Align the trigger clock with the integrator grid: dt -> h / ceil(h/dt).
         steps_per_h = int(math.ceil(law.h / dt - 1e-12))
         dt = law.h / steps_per_h
@@ -376,19 +338,19 @@ def simulate_triggered(
     else:
         event_tol = cfg.event_tol
 
-    driver = _make_driver(g, law, lap, info.laplacian_norm)
+    fired, refresh = _firing_rule(g, law, lap, info.laplacian_norm)
 
     state = NetworkState(t=0.0, x=x0.copy(), xhat=x0.copy(), last_event=np.zeros(n))
     events: list[EventRecord] = []
     zeno_flags: list[tuple[int, float]] = []
 
     # t = 0 bootstrap: every agent broadcasts so xhat(0) = x0.
-    if driver.centralized:
+    if isinstance(law, CentralizedNorm):
         events.append(EventRecord(t=0.0, agent=ALL_AGENTS, value=x0.copy()))
     else:
         for i in range(n):
             events.append(EventRecord(t=0.0, agent=i, value=float(x0[i])))
-    driver.on_broadcast(0.0, state.x, state.xhat)
+    refresh(state.xhat)
 
     velocity = -(lap @ state.xhat)
     times, states, xhats = [0.0], [state.x.copy()], [state.xhat.copy()]
@@ -398,10 +360,10 @@ def simulate_triggered(
     def fire_instant(t_star: float, x_at: np.ndarray) -> None:
         """Fire every predicate that holds at t_star, cascading to a fixpoint."""
         while True:
-            fired = driver.fired(t_star, x_at, state.xhat)
-            if not fired:
+            ready = fired(t_star, x_at, state.xhat)
+            if not ready.size:
                 return
-            i = fired[0]
+            i = int(ready[0])
             if i == ALL_AGENTS:
                 state.xhat[:] = x_at
                 events.append(EventRecord(t=t_star, agent=ALL_AGENTS, value=x_at.copy()))
@@ -417,7 +379,7 @@ def simulate_triggered(
                 window_count[a] += 1
                 if window_count[a] > MAX_EVENTS_PER_WINDOW:
                     raise ZenoAbort(t_star, a, events)
-            driver.on_broadcast(t_star, x_at, state.xhat)
+            refresh(state.xhat)
 
     def bisect_crossing(t_lo: float, x_lo: np.ndarray, t_hi: float) -> float:
         """Earliest predicate crossing in (t_lo, t_hi]; predicate true at return."""
@@ -425,7 +387,7 @@ def simulate_triggered(
         while hi - lo > event_tol:
             mid = 0.5 * (lo + hi)
             x_mid = x_lo + (mid - t_lo) * velocity
-            if driver.fired(mid, x_mid, state.xhat):
+            if fired(mid, x_mid, state.xhat).size:
                 hi = mid
             else:
                 lo = mid
@@ -435,7 +397,7 @@ def simulate_triggered(
     for k in range(1, n_steps + 1):
         t_target = min(k * dt, horizon)
         window_count[:] = 0
-        if driver.periodic:
+        if periodic:
             state.x = state.x + (t_target - state.t) * velocity
             state.t = t_target
             on_grid = t_target == k * dt  # truncated final step never hits the grid
@@ -445,7 +407,7 @@ def simulate_triggered(
         else:
             while state.t < t_target:
                 x_end = state.x + (t_target - state.t) * velocity
-                if not driver.fired(t_target, x_end, state.xhat):
+                if not fired(t_target, x_end, state.xhat).size:
                     state.x, state.t = x_end, t_target
                     break
                 t_star = bisect_crossing(state.t, state.x, t_target)

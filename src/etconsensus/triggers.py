@@ -172,16 +172,14 @@ class AgentView:
 
 def per_agent_sigmas(sigma_i, n: int) -> np.ndarray:
     """Expand a scalar or per-agent sigma value to an array of length n."""
-    if np.isscalar(sigma_i):
-        _check_sigma(float(sigma_i), "sigma_i")
-        return np.full(n, float(sigma_i))
-    values = np.asarray(sigma_i, dtype=float)
+    sigma_i = _normalize_sigma_i(sigma_i)
+    if isinstance(sigma_i, float):
+        return np.full(n, sigma_i)
+    values = np.array(sigma_i)
     if values.shape != (n,):
         raise InvalidParameter(
             f"sigma_i must be a scalar or length-{n} sequence, got shape {values.shape}"
         )
-    for s in values:
-        _check_sigma(float(s), "sigma_i")
     return values
 
 

@@ -73,6 +73,33 @@ def test_run_zeno_abort_exit_code(tmp_path, capsys):
     assert (tmp_path / "out" / "events.csv").exists()
 
 
+def test_run_rejects_non_finite_x0(tmp_path, capsys):
+    cfg = make_config(tmp_path, "type = state_dependent", x0="nan, 1")
+    assert main(["run", str(cfg)]) == 2
+    assert "run.x0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_zeno_abort_keeps_finished_points(tmp_path, capsys):
+    law = "type = decentralized_state\na = 0.5\nsigma_i = 0.999"
+    cfg = make_config(tmp_path, law, horizon=0.001,
+                      extra="\n[sweep]\nlaw.a = 0.5, 0.999999999999999, 0.25\n")
+    cfg.write_text(cfg.read_text().replace(
+        "[sim]\nhorizon = 0.001",
+        "[sim]\nhorizon = 0.001\ndt = 0.0005\nevent_tol = 1e-9",
+    ))
+    assert main(["run", str(cfg), "--quiet"]) == 3
+    assert "zeno" in capsys.readouterr().err.lower()
+    out = tmp_path / "out"
+    _, rows = parse_metrics_csv((out / "metrics.csv").read_text())
+    assert [r[0][0] for r in rows] == ["0.5", "0.25"]
+    assert (out / "point_000" / "trace.csv").exists()
+    assert (out / "point_001" / "events.csv").exists()
+    assert not (out / "point_001" / "trace.csv").exists()
+    assert (out / "point_002" / "trace.csv").exists()
+    assert not (out / "events.csv").exists()
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5",
                       x0="random(9, -1, 1)")

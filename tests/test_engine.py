@@ -252,6 +252,15 @@ def test_sim_config_validation(p2):
         simulate_triggered(p2, StateDependent(), [1.0, 2.0, 3.0], sim_config(p2, horizon=1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x0_rejected(p2, bad):
+    cfg = sim_config(p2, horizon=1.0)
+    with pytest.raises(InvalidParameter, match="finite"):
+        simulate_triggered(p2, StateDependent(), [bad, 1.0], cfg)
+    with pytest.raises(InvalidParameter, match="finite"):
+        simulate_ideal(p2, [1.0, bad], cfg)
+
+
 def test_csv_export_shapes(p2):
     cfg = sim_config(p2, horizon=1.0, sample_every=10)
     tr = simulate_triggered(p2, CentralizedNorm(sigma=0.5), [1.0, -1.0], cfg)
