@@ -12,17 +12,19 @@ numbers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NotBalanced, NotConnected
 
-#: Absolute tolerance on |d_out - d_in| for the weight-balance test.
+#: Tolerance on |d_out - d_in| for the weight-balance test, relative to the
+#: largest vertex degree.
 BALANCE_TOL = 1e-12
 
-#: lambda_2 at or below this means the zero eigenvalue is not simple.
+#: lambda_2 at or below this times the largest vertex degree means the zero
+#: eigenvalue is not simple.
 CONNECTIVITY_TOL = 1e-10
 
 
@@ -32,12 +34,13 @@ class WeightedDigraph:
 
     Weights are nonnegative with a zero diagonal; undirected graphs are stored
     as symmetric weight matrices. Instances are immutable and safe to share
-    across threads.
+    across threads; :func:`spectral_info` keeps its result on the instance.
     """
 
     n: int
     weights: np.ndarray
     directed: bool = True
+    _spectral: SpectralInfo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -123,9 +126,16 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     return np.diag(g.out_degrees) - g.weights
 
 
+def _degree_scale(g: WeightedDigraph) -> float:
+    """Largest out- or in-degree. The balance and connectivity tolerances are
+    relative to it, so scaling every weight by one factor keeps the verdicts."""
+    return float(max(g.out_degrees.max(), g.in_degrees.max()))
+
+
 def is_weight_balanced(g: WeightedDigraph) -> bool:
-    """True iff every vertex has equal out- and in-degree within ``BALANCE_TOL``."""
-    return bool(np.max(np.abs(g.out_degrees - g.in_degrees)) <= BALANCE_TOL)
+    """True iff every vertex has equal out- and in-degree within ``BALANCE_TOL``
+    times the largest degree."""
+    return bool(np.max(np.abs(g.out_degrees - g.in_degrees)) <= BALANCE_TOL * _degree_scale(g))
 
 
 def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
@@ -153,16 +163,26 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
 def spectral_info(g: WeightedDigraph) -> SpectralInfo:
     """Eigen-summary of the symmetrized Laplacian.
 
+    Computed once per graph instance and kept on it; a graph that fails a
+    check raises again on every call.
+
     Raises:
         NotBalanced: if the balance test fails (no spectral claim holds then).
-        NotConnected: if lambda_2 <= 1e-10, i.e. the zero eigenvalue of the
-            symmetrized Laplacian is not simple.
+        NotConnected: if lambda_2 <= CONNECTIVITY_TOL times the largest
+            degree, i.e. the zero eigenvalue of the symmetrized Laplacian is
+            not simple.
     """
+    if g._spectral is None:
+        object.__setattr__(g, "_spectral", _spectral_summary(g))
+    return g._spectral
+
+
+def _spectral_summary(g: WeightedDigraph) -> SpectralInfo:
     if not is_weight_balanced(g):
         raise NotBalanced("graph is not weight-balanced; out- and in-degrees differ")
     lap = laplacian(g)
     sym_eigs = np.linalg.eigvalsh(0.5 * (lap + lap.T))
-    if g.n < 2 or sym_eigs[1] <= CONNECTIVITY_TOL:
+    if g.n < 2 or sym_eigs[1] <= CONNECTIVITY_TOL * _degree_scale(g):
         raise NotConnected(
             "zero eigenvalue of the symmetrized Laplacian is not simple; "
             "graph is not strongly connected"

@@ -32,6 +32,9 @@ ROOT_TOL = 1e-10
 #: Default number of grid points for sign-change scans.
 GRID_POINTS = 10_000
 
+#: Grid points evaluated per batched step of the scans.
+_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # Dense primitives
@@ -253,6 +256,86 @@ def gap_matrix(lyap: LyapunovData, t: float) -> np.ndarray:
     return full[:n, :n]
 
 
+def _powers(phi: np.ndarray, count: int) -> np.ndarray:
+    """Stack of phi^1 ... phi^count, built by repeated doubling."""
+    out = np.empty((count,) + phi.shape)
+    out[0] = phi
+    filled = 1
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled:filled + take] = out[:take] @ out[filled - 1]
+        filled += take
+    return out
+
+
+def _grid_steps(lyap: LyapunovData, step: float, count: int):
+    """Stacked one-step powers of exp(F step) and of exp(A_s step)."""
+    n = lyap.n
+    return (_powers(matrix_exponential(lyap.f, step), count),
+            _powers(matrix_exponential(lyap.f_s[:n, :n], step), count))
+
+
+def _joint_generator(lyap: LyapunovData) -> np.ndarray:
+    """diag(F, A_s): one exponential advances the extended state [x, e] and
+    the comparison state x_s together.
+
+    A bisection takes the state at the left end of its grid cell from one
+    exponential over t_left, not from the scan's chained one-step products,
+    whose rounding grows with the grid index; each midpoint is then one
+    exponential over (mid - t_left) away.
+    """
+    n = lyap.n
+    gen = np.zeros((3 * n, 3 * n))
+    gen[:2 * n, :2 * n] = lyap.f
+    gen[2 * n:, 2 * n:] = lyap.f_s[:n, :n]
+    return gen
+
+
+def _bisect(lo: float, hi: float, on_left) -> tuple:
+    """Halve [lo, hi] to ROOT_TOL, keeping lo where on_left holds."""
+    while hi - lo > ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        if on_left(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _first_crossing(f: np.ndarray, f_prev: float, k0: int) -> int:
+    """Index of the first grid value in a block where the gap turns
+    nonnegative, or -1. ``f[j]`` is the gap at grid point ``k0 + j`` and
+    ``f_prev`` the one before the block; point 1 counts as a crossing
+    because f(0) = 0."""
+    prev = np.concatenate(([f_prev], f[:-1]))
+    k = k0 + np.arange(len(f))
+    cross = (f >= 0.0) & ((prev < 0.0) | (k == 1))
+    return int(np.argmax(cross)) if cross.any() else -1
+
+
+def _first_sign_change(signs: np.ndarray, baseline: float) -> tuple:
+    """Baseline rule over one block of determinant signs.
+
+    While the baseline is 0 the first nonzero sign sets it; after that the
+    first sign that differs from it (zero included) ends the scan. Returns
+    the index of that sign (or -1) and the baseline.
+    """
+    first = 0
+    if baseline == 0.0:
+        nonzero = np.flatnonzero(signs)
+        if nonzero.size == 0:
+            return -1, 0.0
+        first = int(nonzero[0]) + 1
+        baseline = float(signs[first - 1])
+    off = np.flatnonzero(signs[first:] != baseline)
+    return (first + int(off[0]) if off.size else -1), baseline
+
+
+def _gram(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^T P a for each matrix of a stack."""
+    return np.swapaxes(a, -1, -2) @ p @ a
+
+
 def next_event_time(
     sys: LinearEtSystem,
     lyap: LyapunovData,
@@ -262,9 +345,13 @@ def next_event_time(
 ) -> Optional[float]:
     """First elapsed time in (0, t_max] where the gap crosses zero from below.
 
-    Scans a uniform grid, then bisects the bracketing cell to ROOT_TOL.
-    Returns None when no crossing occurs before t_max (in particular for
-    x_ell = 0, where the gap is identically zero).
+    Evaluates the gap at the grid points k t_max / grid_points, a block of
+    them at a time, and takes the first k with f_k >= 0 and f_{k-1} < 0 (or
+    k = 1, since f(0) = 0). A crossing that turns back inside one grid cell,
+    with no sign change at the grid points, is not seen. The bracketing cell
+    is bisected to ROOT_TOL; returns the left end of the final bracket, or
+    None when no crossing occurs before t_max (in particular for x_ell = 0,
+    where the gap is identically zero).
     """
     if t_max <= 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
@@ -276,37 +363,47 @@ def next_event_time(
         return None
 
     step = t_max / grid_points
-    phi_step = matrix_exponential(lyap.f, step)
-    phi_s_step = matrix_exponential(lyap.f_s, step)
-    y = np.concatenate([x_ell, np.zeros(n)])
-    v = y.copy()
-    s = y.copy()
+    block = min(_BLOCK, grid_points)
+    phis, phis_s = _grid_steps(lyap, step, block)
     p = lyap.p
+    v = np.concatenate([x_ell, np.zeros(n)])
+    s = x_ell
     f_prev = 0.0
-    t_prev = 0.0
-    for kk in range(1, grid_points + 1):
-        v = phi_step @ v
-        s = phi_s_step @ s
-        f_k = float(v[:n] @ p @ v[:n] - s[:n] @ p @ s[:n])
-        t_k = kk * step
-        if f_k >= 0.0 and (f_prev < 0.0 or kk == 1):
-            lo, hi = t_prev, t_k
-            if kk == 1:
-                # f(0) = 0 exactly; walk in until the gap is genuinely negative.
-                lo = _negative_start(sys, lyap, x_ell, t_k)
-                if lo is None:
-                    return None
-            while hi - lo > ROOT_TOL:
-                mid = 0.5 * (lo + hi)
-                if trigger_gap(sys, lyap, mid, x_ell) >= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            # Left end of the final bracket: within ROOT_TOL of the root with
-            # the gap still negative, so resetting there keeps V <= S one-sided.
-            return lo
-        f_prev, t_prev = f_k, t_k
+    for k0 in range(1, grid_points + 1, block):
+        count = min(block, grid_points + 1 - k0)
+        vs = phis[:count] @ v
+        ss = phis_s[:count] @ s
+        xv = vs[:, :n]
+        f = np.einsum("ki,ij,kj->k", xv, p, xv) - np.einsum("ki,ij,kj->k", ss, p, ss)
+        j = _first_crossing(f, f_prev, k0)
+        if j >= 0:
+            return _event_in_cell(sys, lyap, x_ell, k0 + j, step)
+        v, s, f_prev = vs[-1], ss[-1], f[-1]
     return None
+
+
+def _event_in_cell(sys, lyap, x_ell, kk: int, step: float) -> Optional[float]:
+    """Bisect grid cell kk for the gap's crossing; None if the gap never
+    turns negative in the first cell."""
+    n = lyap.n
+    p = lyap.p
+    t_left = (kk - 1) * step
+    lo = t_left
+    if kk == 1:
+        # f(0) = 0 exactly; walk in until the gap is genuinely negative.
+        lo = _negative_start(sys, lyap, x_ell, step)
+        if lo is None:
+            return None
+    gen = _joint_generator(lyap)
+    z = matrix_exponential(gen, t_left) @ np.concatenate([x_ell, np.zeros(n), x_ell])
+
+    def negative(t: float) -> bool:
+        w = matrix_exponential(gen, t - t_left) @ z
+        return not float(w[:n] @ p @ w[:n] - w[2 * n:] @ p @ w[2 * n:]) >= 0.0
+
+    # Left end of the final bracket: within ROOT_TOL of the root with the gap
+    # still negative, so resetting there keeps V <= S one-sided.
+    return _bisect(lo, kk * step, negative)[0]
 
 
 def _negative_start(sys, lyap, x_ell, upper: float) -> Optional[float]:
@@ -326,11 +423,14 @@ def min_inter_event_time(
 ) -> float:
     """Uniform inter-event floor: the first t > 0 where det M(t) = 0.
 
-    det M(t) is scanned for a sign change on a uniform grid over (0, t_max]
-    (cumulative products of the per-step exponentials keep the scan cheap),
-    then the bracketing cell is bisected to ROOT_TOL using direct
-    evaluations. The sign is taken from slogdet, which stays usable when the
-    determinant magnitude over- or underflows.
+    The sign of det M(t) is evaluated at the grid points k t_max /
+    grid_points, a block of them at a time. The first nonzero sign is the
+    baseline; the first grid point whose sign differs from it closes the
+    bracketing cell, which is bisected to ROOT_TOL, and the midpoint of the
+    final bracket is returned. The sign is taken from slogdet, which stays
+    usable when the determinant magnitude over- or underflows. A root of
+    even order, or two roots inside one grid cell, leaves no sign change and
+    is not seen.
 
     Raises NoRootFound if the determinant never changes sign in the window;
     the caller is responsible for choosing t_max large enough.
@@ -338,40 +438,46 @@ def min_inter_event_time(
     if t_max <= 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
     n = lyap.n
-    cpc = lyap.c.T @ lyap.p @ lyap.c
+    p = lyap.p
     step = t_max / grid_points
-    phi_step = matrix_exponential(lyap.f, step)
-    phi_s_step = matrix_exponential(lyap.f_s, step)
-    phi = np.eye(2 * n)
-    phi_s = np.eye(2 * n)
-
-    def det_sign(mat: np.ndarray) -> float:
-        sign, _ = np.linalg.slogdet(mat)
-        return float(sign)
-
+    block = min(_BLOCK, grid_points)
+    phis, phis_s = _grid_steps(lyap, step, block)
+    # M(t) = a^T P a - a_s^T P a_s, with a the top n rows of u, the first n
+    # columns of exp(F t), and a_s = exp(A_s t).
+    u = np.eye(2 * n)[:, :n]
+    u_s = np.eye(n)
     baseline = 0.0
-    t_prev = 0.0
-    for kk in range(1, grid_points + 1):
-        phi = phi_step @ phi
-        phi_s = phi_s_step @ phi_s
-        m_k = (phi.T @ cpc @ phi - phi_s.T @ cpc @ phi_s)[:n, :n]
-        sign_k = det_sign(m_k)
-        t_k = kk * step
-        if baseline == 0.0:
-            baseline = sign_k
-        elif sign_k != baseline:
-            lo, hi = t_prev, t_k
-            while hi - lo > ROOT_TOL:
-                mid = 0.5 * (lo + hi)
-                if det_sign(gap_matrix(lyap, mid)) == baseline:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        t_prev = t_k
+    for k0 in range(1, grid_points + 1, block):
+        count = min(block, grid_points + 1 - k0)
+        us = phis[:count] @ u
+        us_s = phis_s[:count] @ u_s
+        signs = np.linalg.slogdet(_gram(us[:, :n], p) - _gram(us_s, p))[0]
+        j, baseline = _first_sign_change(signs, baseline)
+        if j >= 0:
+            return _floor_in_cell(lyap, k0 + j, step, baseline)
+        u, u_s = us[-1], us_s[-1]
     raise NoRootFound(
         f"det M(t) does not change sign on (0, {t_max}]; enlarge t_max"
     )
+
+
+def _floor_in_cell(lyap, kk: int, step: float, baseline: float) -> float:
+    """Bisect grid cell kk for the sign change of det M away from baseline."""
+    n = lyap.n
+    p = lyap.p
+    t_left = (kk - 1) * step
+    gen = _joint_generator(lyap)
+    e_left = matrix_exponential(gen, t_left)
+    u, u_s = e_left[:2 * n, :n], e_left[2 * n:, 2 * n:]
+
+    def same_sign(t: float) -> bool:
+        e = matrix_exponential(gen, t - t_left)
+        a = e[:n, :2 * n] @ u
+        a_s = e[2 * n:, 2 * n:] @ u_s
+        return float(np.linalg.slogdet(_gram(a, p) - _gram(a_s, p))[0]) == baseline
+
+    lo, hi = _bisect(t_left, kk * step, same_sign)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

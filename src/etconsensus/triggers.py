@@ -32,7 +32,7 @@ def _check_sigma(value: float, name: str = "sigma") -> None:
 
 
 def _normalize_sigma_i(sigma_i):
-    if np.isscalar(sigma_i):
+    if np.ndim(sigma_i) == 0:
         _check_sigma(float(sigma_i), "sigma_i")
         return float(sigma_i)
     values = tuple(float(s) for s in sigma_i)

@@ -122,6 +122,28 @@ def test_run_sweep_outputs(tmp_path):
     assert (tmp_path / "out" / "point_002" / "trace.csv").exists()
 
 
+def test_sweep_computes_spectral_info_once(tmp_path, monkeypatch):
+    """One eigendecomposition and one ||L||_2 for the graph of a 3-point
+    sweep, bound checks included."""
+    counts = {"eigvalsh": 0, "norm2": 0}
+    eigvalsh, norm = np.linalg.eigvalsh, np.linalg.norm
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        counts["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    config = Path(__file__).resolve().parent.parent / "configs" / "centralized_k3.cfg"
+    assert main(["run", str(config), "--output-dir", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("point_*"))) == 3
+    assert counts == {"eigvalsh": 1, "norm2": 1}
+
+
 def test_bounds_subcommand(tmp_path, capsys):
     cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5")
     assert main(["run", str(cfg), "--quiet"]) == 0

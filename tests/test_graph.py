@@ -182,3 +182,56 @@ def test_generators_produce_valid_ensembles(rng):
         assert not g.directed and is_strongly_connected(g)
         d = random_balanced_digraph(int(rng.integers(2, 8)), rng)
         assert d.directed and is_weight_balanced(d) and is_strongly_connected(d)
+
+
+def scaled(g, c):
+    return WeightedDigraph(g.n, c * g.weights, directed=g.directed)
+
+
+def test_heavy_balanced_digraphs_pass_the_balance_test():
+    # Degrees near 1e5 carry summation error far above an absolute 1e-12.
+    for seed in range(20):
+        g = random_balanced_digraph(
+            30, np.random.default_rng(seed), extra_cycles=6, w_lo=1e3, w_hi=1e5
+        )
+        assert is_weight_balanced(g)
+        assert spectral_info(g).lambda2 > 0.0
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_balance_and_connectivity_verdicts_are_scale_invariant(c, cycle3):
+    assert is_weight_balanced(scaled(cycle3, c))
+    assert spectral_info(scaled(cycle3, c)).lambda2 == pytest.approx(1.5 * c, rel=1e-12)
+    one_way = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
+    with pytest.raises(NotBalanced):
+        spectral_info(scaled(one_way, c))
+    # Relative imbalance 1e-9: rejected at every scale.
+    skewed = WeightedDigraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0 + 1e-9)])
+    assert not is_weight_balanced(scaled(skewed, c))
+    disconnected = WeightedDigraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)], directed=False)
+    with pytest.raises(NotConnected):
+        spectral_info(scaled(disconnected, c))
+    # Two unit edges joined by a bridge of weight 1e-12: lambda_2 is about
+    # 1e-12 of the degree scale, below the connectivity tolerance.
+    bridged = WeightedDigraph.from_edges(
+        4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1e-12)], directed=False
+    )
+    with pytest.raises(NotConnected):
+        spectral_info(scaled(bridged, c))
+
+
+def test_spectral_info_is_computed_once_per_graph(monkeypatch, cycle3):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    first = spectral_info(cycle3)
+    assert spectral_info(cycle3) is first
+    assert len(calls) == 1
+    one_way = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
+    for _ in range(2):
+        with pytest.raises(NotBalanced):
+            spectral_info(one_way)
+    disconnected = WeightedDigraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)], directed=False)
+    for _ in range(2):
+        with pytest.raises(NotConnected):
+            spectral_info(disconnected)

@@ -208,6 +208,16 @@ def test_law_parameter_validation():
         StateDependent(sigma_i=(0.5, 1.2))
 
 
+@pytest.mark.parametrize("law", [StateDependent, DirectedStateDependent])
+def test_zero_dimensional_sigma_is_a_scalar(law):
+    assert law(sigma_i=np.array(0.5)).sigma_i == 0.5
+    assert type(law(sigma_i=np.float64(0.25)).sigma_i) is float
+    for bad in (np.array(1.5), np.array(0.0)):
+        with pytest.raises(InvalidParameter):
+            law(sigma_i=bad)
+    assert DecentralizedState(a=0.2, sigma_i=np.array(0.3)).sigma_i == 0.3
+
+
 def test_validate_law_against_graph(k3):
     validate_law(DecentralizedState(a=0.4), k3)  # max |N_i| = 2 -> a < 0.5
     with pytest.raises(InvalidParameter):
