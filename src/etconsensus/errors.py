@@ -48,7 +48,8 @@ class ConfigError(EtConsensusError, ValueError):
 
 
 class ZenoAbort(EtConsensusError):
-    """Suspected Zeno accumulation: one agent exhausted its per-step event budget.
+    """Suspected Zeno accumulation: one agent exhausted its event budget for one
+    sample interval.
 
     Carries the event log recorded up to the abort so the run can be inspected
     post mortem.
@@ -56,7 +57,8 @@ class ZenoAbort(EtConsensusError):
 
     def __init__(self, t: float, agent: int, events) -> None:
         super().__init__(
-            f"agent {agent} exceeded the event budget within one step at t={t:.6g}"
+            f"agent {agent} exceeded the event budget within one sample interval "
+            f"at t={t:.6g}"
         )
         self.t = t
         self.agent = agent

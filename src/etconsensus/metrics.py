@@ -41,7 +41,8 @@ def fit_decay_rate(trace: Trace) -> float:
     noise floor excluded. Raises InsufficientDecay when fewer than 10 samples
     carry disagreement above 1e-12 or the window holds fewer than two points.
     """
-    d = np.array([disagreement(row) for row in trace.states])
+    states = trace.states
+    d = np.linalg.norm(states - states.mean(axis=1, keepdims=True), axis=1)
     if int(np.sum(d > 1e-12)) < 10:
         raise InsufficientDecay("fewer than 10 samples with disagreement above 1e-12")
     mask = (d >= 1e-10) & (d <= 0.5 * d[0])

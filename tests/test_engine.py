@@ -15,6 +15,7 @@ from etconsensus import (
     SimConfig,
     StateDependent,
     TimeDependent,
+    Trace,
     WeightedDigraph,
     ZenoAbort,
     convergence_radius_time_trigger,
@@ -47,6 +48,25 @@ def test_ideal_p2_matches_closed_form(p2):
     tr = simulate_ideal(p2, [1.0, -1.0], sim_config(p2, horizon=1.0))
     assert tr.states[-1][0] == pytest.approx(math.exp(-2.0), abs=1e-6)
     assert tr.states[-1][1] == pytest.approx(-math.exp(-2.0), abs=1e-6)
+
+
+def test_ideal_p2_is_exact(p2):
+    """The exact propagator keeps x(t) = exp(-2t) (1, -1) to 1e-12, also
+    over a truncated last step."""
+    for horizon in (1.0, 1.0 + 1e-3 / 3.0):
+        tr = simulate_ideal(p2, [1.0, -1.0], sim_config(p2, horizon=horizon, sample_every=7))
+        expected = np.exp(-2.0 * tr.times)
+        assert tr.times[-1] == horizon
+        assert np.max(np.abs(tr.states[:, 0] - expected)) <= 1e-12
+        assert np.max(np.abs(tr.states[:, 1] + expected)) <= 1e-12
+
+
+def test_ideal_accepts_steps_beyond_the_exponential_range(k3):
+    """||L dt|| = 800 exceeds what one Pade exponential accepts; the step
+    is taken as a power of a shorter one, and still decays to the mean."""
+    cfg = SimConfig(dt=200.0, horizon=1000.0, event_tol=1e-3)
+    tr = simulate_ideal(k3, [1.0, 0.0, -1.0], cfg)
+    assert np.max(np.abs(tr.states[1:])) <= 1e-10
 
 
 def test_ideal_agreement_start_is_fixed_point(p2):
@@ -259,6 +279,36 @@ def test_non_finite_x0_rejected(p2, bad):
         simulate_triggered(p2, StateDependent(), [bad, 1.0], cfg)
     with pytest.raises(InvalidParameter, match="finite"):
         simulate_ideal(p2, [1.0, bad], cfg)
+
+
+def parent_trace_to_csv(trace):
+    """The per-element formatter that ``trace_to_csv`` replaced."""
+    def fmt(v):
+        return repr(float(v))
+    n = trace.n
+    cols = ["t"] + [f"x_{i}" for i in range(n)] + [f"xhat_{i}" for i in range(n)] + ["V"]
+    lines = [",".join(cols)]
+    for k in range(len(trace.times)):
+        row = ([fmt(trace.times[k])] + [fmt(v) for v in trace.states[k]]
+               + [fmt(v) for v in trace.xhats[k]] + [fmt(trace.lyapunov[k])])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_matches_per_element_formatter(p2, k3):
+    specials = [-0.0, 0.0, 1e-5, 1e16, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3]
+    rows = 700  # spans several render blocks of whole rows
+    times = np.arange(rows) * 0.25
+    states = np.resize(np.array(specials), (rows, 3))
+    xhats = np.resize(np.array(specials[::-1]), (rows, 3))
+    lyap = np.resize(np.array(specials[2:]), rows)
+    tr = Trace(times=times, states=states, xhats=xhats, events=(), lyapunov=lyap, zeno_flags=())
+    assert trace_to_csv(tr) == parent_trace_to_csv(tr)
+    run = simulate_triggered(p2, CentralizedNorm(sigma=0.5), [1.0, -1.0],
+                             sim_config(p2, horizon=3.0, sample_every=7))
+    assert trace_to_csv(run) == parent_trace_to_csv(run)
+    ideal = simulate_ideal(k3, [1.0, 0.0, -1.0], sim_config(k3, horizon=2.0, sample_every=3))
+    assert trace_to_csv(ideal) == parent_trace_to_csv(ideal)
 
 
 def test_csv_export_shapes(p2):

@@ -86,6 +86,21 @@ def test_fit_decay_rate_within_spectral_bracket(rng):
         assert 0.9 * info.lambda2 <= rate <= 1.1 * info.lambda_n
 
 
+def test_fit_decay_rate_matches_per_row_disagreement(rng):
+    """The row-wise disagreement agrees with ``disagreement`` row by row, and
+    the fitted rate with a fit on those per-row values."""
+    for _ in range(5):
+        g = random_connected_undirected(int(rng.integers(2, 7)), rng, edge_prob=0.6)
+        tr = simulate_triggered(g, StateDependent(), rng.uniform(-1, 1, g.n),
+                                sim_config(g, horizon=15.0, sample_every=3))
+        per_row = np.array([disagreement(row) for row in tr.states])
+        rows = np.linalg.norm(tr.states - tr.states.mean(axis=1, keepdims=True), axis=1)
+        assert np.allclose(rows, per_row, rtol=4e-16, atol=0.0)
+        mask = (per_row >= 1e-10) & (per_row <= 0.5 * per_row[0])
+        slope = np.polyfit(tr.times[mask], np.log(per_row[mask]), 1)[0]
+        assert fit_decay_rate(tr) == pytest.approx(-slope, rel=1e-12)
+
+
 def test_inter_event_stats_conventions():
     one_each = [EventRecord(0.0, 0, 1.0), EventRecord(0.0, 1, 2.0)]
     min_gap, mean_gap, suspect = inter_event_stats(one_each, 1e-6)
