@@ -82,6 +82,7 @@ from .linear_et import (
     LinearEtSystem,
     LyapunovData,
     SampleHoldTrace,
+    default_t_max,
     design,
     gap_matrix,
     matrix_exponential,

@@ -34,7 +34,7 @@ from .engine import (
 )
 from .errors import EtConsensusError, ZenoAbort
 from .graph import WeightedDigraph, spectral_info
-from .linear_et import design, min_inter_event_time, simulate_sample_hold
+from .linear_et import default_t_max, design, min_inter_event_time, simulate_sample_hold
 from .metrics import (
     RunMetrics,
     compute_run_metrics,
@@ -216,7 +216,7 @@ def cmd_bounds(args) -> int:
 def cmd_linear_et(args) -> int:
     lcfg = load_linear_et_config(args.config)
     sys_, lyap = design(lcfg.a, lcfg.b, lcfg.k, lcfg.q, lcfg.r, lcfg.a_s)
-    t_max = lcfg.t_max or 100.0 / max(float(np.linalg.norm(lyap.f, 2)), 1e-12)
+    t_max = lcfg.t_max or default_t_max(lyap)
     t_min = min_inter_event_time(sys_, lyap, t_max)
     horizon = lcfg.horizon or 20.0 * t_min
     trace = simulate_sample_hold(

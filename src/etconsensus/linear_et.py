@@ -13,7 +13,7 @@ Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,19 +54,30 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
         raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidParameter("matrix entries must be finite")
+    squarings = _squarings(a)
+    result = _pade(a / (2.0 ** squarings))
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def _squarings(a: np.ndarray) -> int:
+    """Halvings that bring the 1-norm of a to at most 0.5."""
     norm = float(np.linalg.norm(a, 1))
     if norm > 600.0:
         raise OverflowError(f"||M t|| = {norm:.3g} is too large for the exponential")
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    a = a / (2.0 ** squarings)
+    return max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
 
+
+def _pade(a: np.ndarray) -> np.ndarray:
+    """[10/10] Pade approximant of e^a for a matrix, or a stack of matrices,
+    of 1-norm at most 0.5."""
     q = 10
-    n = a.shape[0]
-    ident = np.eye(n)
+    ident = np.eye(a.shape[-1])
     coeff = 1.0
     term = ident
-    numer = ident.copy()
-    denom = ident.copy()
+    numer = ident
+    denom = ident
     sign = 1.0
     for j in range(1, q + 1):
         coeff *= (q - j + 1) / ((2 * q - j + 1) * j)
@@ -74,10 +85,7 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
         sign = -sign
         numer = numer + coeff * term
         denom = denom + (sign * coeff) * term
-    result = np.linalg.solve(denom, numer)
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    return np.linalg.solve(denom, numer)
 
 
 def _check_spd(mat: np.ndarray, name: str) -> None:
@@ -154,12 +162,18 @@ class LinearEtSystem:
 @dataclass(frozen=True)
 class LyapunovData:
     """Solved Lyapunov matrix P with the extended dynamics F, comparison
-    dynamics F_s, and the state selector C = [I 0]."""
+    dynamics F_s, and the state selector C = [I 0].
+
+    The grid scans' stacked one-step powers (per grid step) and the
+    bisections' halving ladders (per bracket width) are kept on the instance.
+    """
 
     p: np.ndarray
     f: np.ndarray
     f_s: np.ndarray
     c: np.ndarray
+    _grid_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _halvings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("p", "f", "f_s", "c"):
@@ -269,21 +283,21 @@ def _powers(phi: np.ndarray, count: int) -> np.ndarray:
 
 
 def _grid_steps(lyap: LyapunovData, step: float, count: int):
-    """Stacked one-step powers of exp(F step) and of exp(A_s step)."""
-    n = lyap.n
-    return (_powers(matrix_exponential(lyap.f, step), count),
-            _powers(matrix_exponential(lyap.f_s[:n, :n], step), count))
+    """Stacked one-step powers of exp(F step) and of exp(A_s step), kept on
+    lyap per (step, count)."""
+    key = (step, count)
+    if key not in lyap._grid_powers:
+        n = lyap.n
+        lyap._grid_powers[key] = (
+            _powers(matrix_exponential(lyap.f, step), count),
+            _powers(matrix_exponential(lyap.f_s[:n, :n], step), count),
+        )
+    return lyap._grid_powers[key]
 
 
 def _joint_generator(lyap: LyapunovData) -> np.ndarray:
     """diag(F, A_s): one exponential advances the extended state [x, e] and
-    the comparison state x_s together.
-
-    A bisection takes the state at the left end of its grid cell from one
-    exponential over t_left, not from the scan's chained one-step products,
-    whose rounding grows with the grid index; each midpoint is then one
-    exponential over (mid - t_left) away.
-    """
+    the comparison state x_s together."""
     n = lyap.n
     gen = np.zeros((3 * n, 3 * n))
     gen[:2 * n, :2 * n] = lyap.f
@@ -291,14 +305,57 @@ def _joint_generator(lyap: LyapunovData) -> np.ndarray:
     return gen
 
 
-def _bisect(lo: float, hi: float, on_left) -> tuple:
-    """Halve [lo, hi] to ROOT_TOL, keeping lo where on_left holds."""
+def _halving_ladder(gen: np.ndarray, width: float, levels: int) -> np.ndarray:
+    """Stack of exp(gen width / 2^i) for i = 1 ... levels.
+
+    One batched Pade pass covers every level of 1-norm at most 0.5; each
+    coarser level is the square of the next finer one, which is what
+    matrix_exponential's scaling and squaring computes for it.
+    """
+    coarse = _squarings(gen * (width / 2.0))
+    args = np.stack([gen * (width / 2.0 ** i) for i in range(1, max(levels, coarse + 1) + 1)])
+    ladder = np.empty_like(args)
+    ladder[coarse:] = _pade(args[coarse:])
+    for i in range(coarse - 1, -1, -1):
+        ladder[i] = ladder[i + 1] @ ladder[i + 1]
+    return ladder[:levels]
+
+
+def _halvings(lyap: LyapunovData, width: float, levels: int) -> np.ndarray:
+    """At least ``levels`` levels of the halving ladder of diag(F, A_s) for a
+    bracket of ``width``, kept on lyap per width."""
+    ladder = lyap._halvings.get(width)
+    if ladder is None or len(ladder) < levels:
+        ladder = _halving_ladder(_joint_generator(lyap), width, levels)
+        lyap._halvings[width] = ladder
+    return ladder
+
+
+def _bisect(lyap, lo: float, hi: float, width: float, state, advance, on_left) -> tuple:
+    """Halve [lo, hi] to ROOT_TOL, keeping lo where on_left holds.
+
+    ``state`` is the joint state at lo and ``width`` the bracket's nominal
+    width. The i-th midpoint lies width / 2^i past the current lo, so
+    ``advance(E_i, state)`` with level i of the halving ladder carries the
+    state there: one matrix product per step. on_left judges that state, and
+    the state moves with lo. Past t = 2^19 one ulp of t exceeds ROOT_TOL, so
+    the halving stops once the bracket is one ulp wide.
+    """
+    ladder = _halvings(lyap, width, max(1, math.ceil(math.log2(width / ROOT_TOL)) + 1))
+    i = 0
     while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        if on_left(mid):
-            lo = mid
+        if mid == lo or mid == hi:
+            break
+        if i == len(ladder):
+            # Rounding of lo and hi left the bracket wider than width / 2^i.
+            ladder = _halvings(lyap, width, 2 * i)
+        moved = advance(ladder[i], state)
+        if on_left(moved):
+            lo, state = mid, moved
         else:
             hi = mid
+        i += 1
     return lo, hi
 
 
@@ -384,26 +441,30 @@ def next_event_time(
 
 def _event_in_cell(sys, lyap, x_ell, kk: int, step: float) -> Optional[float]:
     """Bisect grid cell kk for the gap's crossing; None if the gap never
-    turns negative in the first cell."""
+    turns negative in the first cell.
+
+    The joint state [x, e, x_s] at the bracket's left end comes from one
+    exponential over lo, not from the scan's chained one-step products,
+    whose rounding grows with the grid index.
+    """
     n = lyap.n
     p = lyap.p
-    t_left = (kk - 1) * step
-    lo = t_left
+    lo, width = (kk - 1) * step, step
     if kk == 1:
         # f(0) = 0 exactly; walk in until the gap is genuinely negative.
         lo = _negative_start(sys, lyap, x_ell, step)
         if lo is None:
             return None
-    gen = _joint_generator(lyap)
-    z = matrix_exponential(gen, t_left) @ np.concatenate([x_ell, np.zeros(n), x_ell])
+        width = step - lo
+    z = matrix_exponential(_joint_generator(lyap), lo) @ np.concatenate(
+        [x_ell, np.zeros(n), x_ell])
 
-    def negative(t: float) -> bool:
-        w = matrix_exponential(gen, t - t_left) @ z
+    def negative(w: np.ndarray) -> bool:
         return not float(w[:n] @ p @ w[:n] - w[2 * n:] @ p @ w[2 * n:]) >= 0.0
 
     # Left end of the final bracket: within ROOT_TOL of the root with the gap
     # still negative, so resetting there keeps V <= S one-sided.
-    return _bisect(lo, kk * step, negative)[0]
+    return _bisect(lyap, lo, kk * step, width, z, np.matmul, negative)[0]
 
 
 def _negative_start(sys, lyap, x_ell, upper: float) -> Optional[float]:
@@ -462,21 +523,26 @@ def min_inter_event_time(
 
 
 def _floor_in_cell(lyap, kk: int, step: float, baseline: float) -> float:
-    """Bisect grid cell kk for the sign change of det M away from baseline."""
+    """Bisect grid cell kk for the sign change of det M away from baseline.
+
+    The state is the pair (u, u_s): the first n columns of exp(F t) and
+    exp(A_s t), taken at the cell's left end from one exponential.
+    """
     n = lyap.n
     p = lyap.p
     t_left = (kk - 1) * step
-    gen = _joint_generator(lyap)
-    e_left = matrix_exponential(gen, t_left)
-    u, u_s = e_left[:2 * n, :n], e_left[2 * n:, 2 * n:]
+    e_left = matrix_exponential(_joint_generator(lyap), t_left)
 
-    def same_sign(t: float) -> bool:
-        e = matrix_exponential(gen, t - t_left)
-        a = e[:n, :2 * n] @ u
-        a_s = e[2 * n:, 2 * n:] @ u_s
-        return float(np.linalg.slogdet(_gram(a, p) - _gram(a_s, p))[0]) == baseline
+    def advance(e: np.ndarray, state: tuple) -> tuple:
+        u, u_s = state
+        return e[:2 * n, :2 * n] @ u, e[2 * n:, 2 * n:] @ u_s
 
-    lo, hi = _bisect(t_left, kk * step, same_sign)
+    def same_sign(state: tuple) -> bool:
+        u, u_s = state
+        return float(np.linalg.slogdet(_gram(u[:n], p) - _gram(u_s, p))[0]) == baseline
+
+    state = (e_left[:2 * n, :n], e_left[2 * n:, 2 * n:])
+    lo, hi = _bisect(lyap, t_left, kk * step, step, state, advance, same_sign)
     return 0.5 * (lo + hi)
 
 
@@ -497,6 +563,11 @@ class SampleHoldTrace:
     @property
     def gaps(self) -> np.ndarray:
         return np.diff(np.asarray(self.event_times))
+
+
+def default_t_max(lyap: LyapunovData) -> float:
+    """Default scan window of the linear toolkit: 100 / ||F||_2."""
+    return 100.0 / max(float(np.linalg.norm(lyap.f, 2)), 1e-12)
 
 
 def simulate_sample_hold(
@@ -521,7 +592,7 @@ def simulate_sample_hold(
     if horizon <= 0.0:
         raise InvalidParameter(f"horizon must be positive, got {horizon}")
     if t_max is None:
-        t_max = 100.0 / max(float(np.linalg.norm(lyap.f, 2)), 1e-12)
+        t_max = default_t_max(lyap)
 
     p = lyap.p
     t = 0.0

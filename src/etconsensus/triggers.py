@@ -61,6 +61,12 @@ class DecentralizedState:
 
     Fires when e_i^2 >= sigma_i a (1 - a |N_i|) / |N_i| * z_i^2 with
     z_i = sum_j (x_i - x_j). Requires 0 < a < 1/|N_i| for every agent.
+
+    The threshold vanishes wherever some z_i passes zero, so the exact
+    dynamics can accumulate events there (Zeno bursts). The event-driven
+    engine resolves them: a burst may exhaust the per-agent event budget and
+    end the run with ZenoAbort (exit code 3) on configs that a fixed-step
+    integrator, which stepped over the burst, used to finish.
     """
 
     a: float
@@ -263,7 +269,9 @@ def eval_decentralized_state(
     """Exact-state predicate: fire iff e_i^2 >= sigma_i a (1 - a|N_i|)/|N_i| * z_i^2.
 
     ``x_neighbors_exact`` supplies (j, x_j) pairs with the neighbors' true
-    states; this law needs continuous neighbor information.
+    states; this law needs continuous neighbor information. The threshold is
+    zero where z_i = 0, so as z_i passes zero the agent can fire in a burst
+    of events with vanishing gaps (see DecentralizedState).
     """
     _check_sigma(sigma_i, "sigma_i")
     if view.card_ni == 0:
