@@ -9,6 +9,7 @@ remaining points and writes metrics.csv for those that finished.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -224,14 +225,9 @@ def cmd_linear_et(args) -> int:
         samples_per_interval=lcfg.samples_per_interval, t_max=t_max,
     )
     out_dir = Path(args.output_dir or lcfg.output_dir)
-    n = lyap.n
-    lines = ["t," + ",".join(f"x_{i}" for i in range(n)) + ",V,S"]
-    for kk in range(len(trace.times)):
-        lines.append(",".join(
-            [repr(float(trace.times[kk]))]
-            + [repr(float(v)) for v in trace.states[kk]]
-            + [repr(float(trace.v_values[kk])), repr(float(trace.s_values[kk]))]
-        ))
+    table = np.column_stack((trace.times, trace.states, trace.v_values, trace.s_values))
+    lines = ["t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S"]
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     _write(out_dir / "linear_et_trace.csv", "\n".join(lines) + "\n")
     ev_lines = ["l,t,gap"]
     for idx, t in enumerate(trace.event_times):
@@ -256,31 +252,34 @@ def cmd_linear_et(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="etconsensus",
         description="Event-triggered consensus experiment runner",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("run", cmd_run), ("linear-et", cmd_linear_et)):
+    for name in ("run", "linear-et"):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--output-dir", default=None)
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(fn=fn)
     p = sub.add_parser("bounds")
     p.add_argument("metrics")
     p.add_argument("config")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_bounds)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up per call, not bound into the cached parser, so a command
+    # function replaced on the module is the one that runs.
+    commands = {"run": cmd_run, "linear-et": cmd_linear_et, "bounds": cmd_bounds}
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except ZenoAbort as exc:
         print(f"zeno abort: {exc}", file=sys.stderr)
         return 3

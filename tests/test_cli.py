@@ -12,6 +12,8 @@ from etconsensus import (
     min_inter_event_bound_centralized,
 )
 from etconsensus.cli import check_bounds, main
+from etconsensus.config import load_linear_et_config
+from etconsensus.linear_et import default_t_max, design, simulate_sample_hold
 from etconsensus.metrics import RunMetrics, parse_metrics_csv
 
 GRAPH_BLOCK = """
@@ -160,9 +162,8 @@ def test_periodic_inadmissible_h_warns_but_runs(tmp_path, capsys):
     assert "admissible period" in capsys.readouterr().err
 
 
-def test_linear_et_subcommand(tmp_path, capsys):
-    text = f"""
-[linear_et]
+LINEAR_PLANTS = {
+    "double integrator": """
 n = 2
 m = 1
 a = 0, 1, 0, 0
@@ -172,17 +173,80 @@ q = 1, 0, 0, 1
 r = 0.5, 0, 0, 0.5
 x0 = 1, 0
 horizon = 6
+""",
+    "triple integrator": """
+n = 3
+m = 1
+a = 0, 1, 0, 0, 0, 1, 0, 0, 0
+b = 0, 0, 1
+k = -2, -3, -4
+q = 1, 0, 0, 0, 1, 0, 0, 0, 1
+r = 0.5, 0, 0, 0, 0.5, 0, 0, 0, 0.5
+x0 = 1, -0.0, 0.5
+horizon = 8
+""",
+}
 
-[run]
-output_dir = {tmp_path / 'let'}
-"""
-    cfg = tmp_path / "linear.cfg"
-    cfg.write_text(text)
+
+def make_linear_config(tmp_path, plant="double integrator", out="let"):
+    cfg = tmp_path / f"{out}.cfg"
+    cfg.write_text(f"[linear_et]{LINEAR_PLANTS[plant]}\n[run]\noutput_dir = {tmp_path / out}\n")
+    return cfg
+
+
+def test_linear_et_subcommand(tmp_path, capsys):
+    cfg = make_linear_config(tmp_path)
     assert main(["linear-et", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "t_min" in out and "PASS" in out and "FAIL" not in out
     assert (tmp_path / "let" / "linear_et_trace.csv").exists()
     assert (tmp_path / "let" / "linear_et_events.csv").exists()
+
+
+def parent_linear_et_trace_csv(trace, n):
+    """The per-element formatter of linear_et_trace.csv that the table render
+    replaced."""
+    lines = ["t," + ",".join(f"x_{i}" for i in range(n)) + ",V,S"]
+    for kk in range(len(trace.times)):
+        lines.append(",".join(
+            [repr(float(trace.times[kk]))]
+            + [repr(float(v)) for v in trace.states[kk]]
+            + [repr(float(trace.v_values[kk])), repr(float(trace.s_values[kk]))]
+        ))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("plant", sorted(LINEAR_PLANTS))
+def test_linear_et_trace_matches_per_element_formatter(tmp_path, plant):
+    cfg = make_linear_config(tmp_path, plant)
+    assert main(["linear-et", str(cfg), "--quiet"]) == 0
+    lcfg = load_linear_et_config(cfg)
+    sys_, lyap = design(lcfg.a, lcfg.b, lcfg.k, lcfg.q, lcfg.r, lcfg.a_s)
+    t_max = lcfg.t_max or default_t_max(lyap)
+    trace = simulate_sample_hold(sys_, lyap, lcfg.x0, lcfg.horizon,
+                                 samples_per_interval=lcfg.samples_per_interval, t_max=t_max)
+    assert len(trace.event_times) > 2
+    written = (tmp_path / "let" / "linear_et_trace.csv").read_text()
+    assert written == parent_linear_et_trace_csv(trace, lyap.n)
+
+
+def test_main_calls_in_one_process_are_independent(tmp_path, capsys):
+    run_cfg = make_config(tmp_path, "type = state_dependent\nsigma_i = 0.5", horizon=2)
+    linear_cfg = make_linear_config(tmp_path, out="linear")
+    assert main(["run", str(run_cfg), "--quiet", "--output-dir", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["linear-et", str(linear_cfg)]) == 0
+    assert "t_min=" in capsys.readouterr().out
+    assert main(["run", str(run_cfg)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    metrics = tmp_path / "a" / "metrics.csv"
+    assert main(["bounds", str(metrics), str(run_cfg), "--quiet"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert (tmp_path / "linear" / "linear_et_trace.csv").exists()
+    assert not (tmp_path / "linear" / "trace.csv").exists()
+    assert (tmp_path / "out" / "metrics.csv").read_text() == metrics.read_text()
+    assert main(["run", str(run_cfg), "--output-dir", str(tmp_path / "a")]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_missing_config_is_validation_error(capsys):

@@ -22,6 +22,7 @@ from etconsensus import (
     events_to_csv,
     laplacian,
     min_inter_event_bound_centralized,
+    random_balanced_digraph,
     random_connected_undirected,
     sim_config,
     simulate_ideal,
@@ -29,6 +30,7 @@ from etconsensus import (
     spectral_info,
     trace_to_csv,
 )
+from etconsensus.engine import _CSV_BLOCK
 from etconsensus.metrics import compute_run_metrics, inter_event_stats
 
 
@@ -295,6 +297,45 @@ def parent_trace_to_csv(trace):
     return "\n".join(lines) + "\n"
 
 
+def synthetic_trace(xhats, states=None, seed=0):
+    """A trace with the given xhat table (and states) and random other columns."""
+    xhats = np.asarray(xhats, dtype=float)
+    rng = np.random.default_rng(seed)
+    rows = len(xhats)
+    if states is None:
+        states = rng.standard_normal(xhats.shape)
+    return Trace(times=np.arange(rows) * 0.25, states=states,
+                 xhats=xhats, events=(), lyapunov=rng.random(rows), zeno_flags=())
+
+
+def held_rows(n, rows, changes, seed=0):
+    """An xhat table that holds every entry except at ``changes``, a list of
+    (row, agent) pairs at which that entry takes a new random value."""
+    rng = np.random.default_rng(seed)
+    xhats = np.empty((rows, n))
+    xhats[0] = rng.standard_normal(n)
+    fresh = np.zeros((rows, n), dtype=bool)
+    for r, c in changes:
+        fresh[r, c] = True
+    for r in range(1, rows):
+        xhats[r] = np.where(fresh[r], rng.standard_normal(n), xhats[r - 1])
+    return xhats
+
+
+def block_rows(n):
+    """Rows per render block of an n-agent trace."""
+    return max(1, _CSV_BLOCK // (2 * n + 2))
+
+
+def assert_same_csv(got, want, label=""):
+    """Byte equality of two CSV texts; a failure names the first line that
+    differs (a full diff of long texts is slow to render)."""
+    if got != want:
+        lines = zip(got.splitlines(), want.splitlines())
+        first = next((k for k, (a, b) in enumerate(lines) if a != b), "past the shorter text")
+        pytest.fail(f"{label} differs at line {first}")
+
+
 def test_trace_csv_matches_per_element_formatter(p2, k3):
     specials = [-0.0, 0.0, 1e-5, 1e16, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3]
     rows = 700  # spans several render blocks of whole rows
@@ -303,12 +344,79 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
     xhats = np.resize(np.array(specials[::-1]), (rows, 3))
     lyap = np.resize(np.array(specials[2:]), rows)
     tr = Trace(times=times, states=states, xhats=xhats, events=(), lyapunov=lyap, zeno_flags=())
-    assert trace_to_csv(tr) == parent_trace_to_csv(tr)
+    assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr))
     run = simulate_triggered(p2, CentralizedNorm(sigma=0.5), [1.0, -1.0],
                              sim_config(p2, horizon=3.0, sample_every=7))
-    assert trace_to_csv(run) == parent_trace_to_csv(run)
+    assert_same_csv(trace_to_csv(run), parent_trace_to_csv(run))
     ideal = simulate_ideal(k3, [1.0, 0.0, -1.0], sim_config(k3, horizon=2.0, sample_every=3))
-    assert trace_to_csv(ideal) == parent_trace_to_csv(ideal)
+    assert_same_csv(trace_to_csv(ideal), parent_trace_to_csv(ideal))
+
+    # xhat strings are cached across rows; every way the cache can go stale.
+    n, b = 3, block_rows(3)
+    rows = 3 * b + 5
+    rng = np.random.default_rng(1)
+    sparse = [(int(r), int(c)) for r, c in zip(rng.integers(1, rows, 40), rng.integers(0, n, 40))]
+    signed = np.zeros((8, 4))
+    signed[1::2, 2] = -0.0  # 0.0 -> -0.0 -> 0.0 -> ... in one column: == sees no change
+    signed[5, 0] = -0.0
+    edges = [(b - 1, 0), (b, 1), (2 * b - 1, 2), (2 * b, 0), (2 * b, 2), (3 * b, 1), (rows - 1, 0)]
+    dense = rng.standard_normal((rows, n))
+    flipped_zeros = np.zeros((3 * block_rows(1) + 1, 1))
+    flipped_zeros[[block_rows(1) - 1, 2 * block_rows(1)], 0] = -0.0
+    early = [(r, c) for r, c in sparse if r < 2 * b]
+    dense_then_held = np.vstack((rng.standard_normal((b + 3, n)), held_rows(n, 2 * b, early)))
+    cases = {
+        "held": held_rows(n, rows, []),
+        "sparse": held_rows(n, rows, sparse),
+        "signed zeros": signed,
+        "signed zeros across blocks": flipped_zeros,
+        "block edges": held_rows(n, rows, edges),
+        "one agent": held_rows(1, 3 * block_rows(1) + 2, [(5, 0), (block_rows(1), 0)]),
+        "one row": rng.standard_normal((1, n)),
+        "one row, one agent": np.array([[-0.0]]),
+        "all change": dense,
+        "all change, then held": dense_then_held,
+        "held, all change, held": np.vstack((held_rows(n, b, [(3, 1)]), dense[:b],
+                                            np.repeat(dense[b - 1:b], b, axis=0))),
+        "one row per block": held_rows(3000, 5, [(1, 0), (2, 2999), (3, 7), (4, 7)]),
+    }
+    signed_state = dense.copy()
+    signed_state[b + 2, 1] = 0.0
+    signed_xhat = signed_state.copy()
+    signed_xhat[b + 2, 1] = -0.0
+    for name, table in cases.items():
+        tr = synthetic_trace(table)
+        assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr), name)
+    for name, xhat, state in (
+        ("xhat is the state", dense, dense),
+        ("xhat is the state but for a signed zero", signed_xhat, signed_state),
+    ):
+        tr = synthetic_trace(xhat, state)
+        assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr), name)
+
+
+def balanced_run(n, seed, **kwargs):
+    g = random_balanced_digraph(n, np.random.default_rng(seed), extra_cycles=2)
+    x0 = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, n)
+    return simulate_triggered(g, DirectedStateDependent(sigma_i=0.5), x0,
+                              sim_config(g, horizon=1.0, dt=1e-3, **kwargs))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda k3: balanced_run(10, 3), id="directed-n10"),
+    pytest.param(lambda k3: balanced_run(50, 4), id="directed-n50"),
+    pytest.param(lambda k3: balanced_run(10, 5, sample_every=3), id="directed-every3"),
+    pytest.param(lambda k3: balanced_run(50, 6, sample_every=7), id="directed-every7"),
+    pytest.param(lambda k3: simulate_triggered(
+        k3, CentralizedNorm(sigma=0.5), [0.3, -0.9, 0.5], sim_config(k3, horizon=5.0)),
+        id="centralized-all"),
+    pytest.param(lambda k3: simulate_ideal(
+        k3, [1.0, 0.0, -1.0], sim_config(k3, horizon=5.0)), id="ideal"),
+])
+def test_trace_csv_matches_per_element_formatter_on_runs(make, k3):
+    tr = make(k3)
+    assert len(tr.times) > block_rows(tr.n)
+    assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr))
 
 
 def test_csv_export_shapes(p2):

@@ -30,7 +30,7 @@ from etconsensus import (
     random_connected_undirected,
     spectral_info,
 )
-from etconsensus.engine import _firing_rule
+from etconsensus.engine import _law_rule
 from etconsensus.triggers import directed_state_dependent_threshold, state_dependent_threshold
 
 
@@ -86,7 +86,8 @@ def oracle_thresholds(law, g, xhat):
 
 
 def engine_rule(law, g):
-    return _firing_rule(g, law, laplacian(g), spectral_info(g).laplacian_norm)
+    rule = _law_rule(g, law, laplacian(g), spectral_info(g).laplacian_norm)
+    return rule.fired, rule.refresh
 
 
 @settings(max_examples=250, deadline=None)
