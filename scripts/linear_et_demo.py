@@ -8,6 +8,7 @@ Usage: python scripts/linear_et_demo.py
 import numpy as np
 
 from etconsensus import (
+    default_t_max,
     design,
     min_inter_event_time,
     next_event_time,
@@ -17,7 +18,7 @@ from etconsensus import (
 
 def run(name, a, b, k, q, r, a_s=None, x0=None, horizon=None) -> None:
     sys_, lyap = design(a, b, k, q, r, a_s)
-    t_max = 100.0 / np.linalg.norm(lyap.f, 2)
+    t_max = default_t_max(lyap)
     t_min = min_inter_event_time(sys_, lyap, t_max)
     first = next_event_time(sys_, lyap, np.asarray(x0, dtype=float), t_max)
     trace = simulate_sample_hold(

@@ -64,7 +64,7 @@ def main() -> None:
         print(f"\n== {name}: events={m.events_total} "
               f"final_disagreement={m.final_disagreement:.3e} "
               f"min_gap={m.min_gap:.4g} mean_gap={m.mean_gap:.4g}")
-        print(format_bound_report(check_bounds(m, law, g, cfg.event_tol)), end="")
+        print(format_bound_report(check_bounds(m, law, g, cfg.dt)), end="")
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ from .triggers import (
 from .engine import (
     ALL_AGENTS,
     EventRecord,
-    NetworkState,
     SimConfig,
     Trace,
     convergence_radius_time_trigger,

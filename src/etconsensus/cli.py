@@ -66,15 +66,11 @@ class BoundCheck:
     slack: float
 
 
-def check_bounds(
-    m: RunMetrics,
-    law,
-    g: WeightedDigraph,
-    event_tol: float = 0.0,
-) -> tuple:
+def check_bounds(m: RunMetrics, law, g: WeightedDigraph, dt: float) -> tuple:
     """Bound checks applicable to a finished run under the given law.
 
-    law is None for runs of the ideal continuous controller.
+    law is None for runs of the ideal continuous controller; dt is the run's
+    sample spacing, of which the centralized gap check allows 1e-3 as slack.
     """
     info = spectral_info(g)
     checks = []
@@ -95,22 +91,21 @@ def check_bounds(
         at_least("decay_rate", rate, 0.9 * info.lambda2)
     elif isinstance(law, CentralizedNorm):
         tau = min_inter_event_bound_centralized(g, law.sigma)
-        at_least("min_inter_event_gap", m.min_gap, tau - event_tol)
+        at_least("min_inter_event_gap", m.min_gap, tau - dt * 1e-3)
     elif isinstance(law, TimeDependent):
         radius = convergence_radius_time_trigger(g, law.c0)
         at_most("final_disagreement", m.final_disagreement, radius + 1e-6)
     elif isinstance(law, PeriodicStateDependent):
-        h_star = max_admissible_period(
-            _sigma_max(law, g.n), g.max_weight, g.max_out_neighbors
-        )
-        at_most("period_h", law.h, h_star)
+        at_most("period_h", law.h, _admissible_period(law, g))
         at_least("min_inter_event_gap", m.min_gap, law.h)
     return tuple(checks)
 
 
-def _sigma_max(law, n: int) -> float:
+def _admissible_period(law: PeriodicStateDependent, g: WeightedDigraph) -> float:
+    """h* of the periodic law on g, for its largest sigma_i."""
     sigma_i = law.sigma_i
-    return float(sigma_i) if np.isscalar(sigma_i) else float(max(sigma_i))
+    sigma = float(sigma_i) if np.isscalar(sigma_i) else float(max(sigma_i))
+    return max_admissible_period(sigma, g.max_weight, g.max_out_neighbors)
 
 
 def format_bound_report(checks) -> str:
@@ -131,10 +126,10 @@ def format_bound_report(checks) -> str:
 # run
 # ---------------------------------------------------------------------------
 
-def _warn_periodic(law, g, quiet: bool) -> None:
+def _warn_periodic(law, g) -> None:
     if not isinstance(law, PeriodicStateDependent):
         return
-    h_star = max_admissible_period(_sigma_max(law, g.n), g.max_weight, g.max_out_neighbors)
+    h_star = _admissible_period(law, g)
     if law.h >= h_star:
         print(
             f"warning: law.h={law.h:.6g} is not below the admissible period "
@@ -164,7 +159,7 @@ def cmd_run(args) -> int:
     aborted = False
     for index, overrides in enumerate(points):
         law, sim = (cfg.law, cfg.sim) if not overrides else apply_overrides(cfg, overrides)
-        _warn_periodic(law, cfg.graph, args.quiet)
+        _warn_periodic(law, cfg.graph)
         point_dir = out_dir if len(points) == 1 else out_dir / f"point_{index:03d}"
         try:
             trace = _simulate(cfg, law, sim)
@@ -185,7 +180,7 @@ def cmd_run(args) -> int:
             label = f" {overrides}" if overrides else ""
             print(f"run{label}: events={m.events_total} "
                   f"final_disagreement={m.final_disagreement:.6g}")
-            print(format_bound_report(check_bounds(m, law, cfg.graph, sim.event_tol)), end="")
+            print(format_bound_report(check_bounds(m, law, cfg.graph, sim.dt)), end="")
     if rows:
         header = metrics_csv_header(sweep_keys)
         _write(out_dir / "metrics.csv", header + "\n" + "\n".join(rows) + "\n")
@@ -206,7 +201,7 @@ def cmd_bounds(args) -> int:
         law, sim = (cfg.law, cfg.sim) if not overrides else apply_overrides(cfg, overrides)
         if overrides and not args.quiet:
             print(f"point {overrides}:")
-        print(format_bound_report(check_bounds(m, law, cfg.graph, sim.event_tol)), end="")
+        print(format_bound_report(check_bounds(m, law, cfg.graph, sim.dt)), end="")
     return 0
 
 

@@ -83,7 +83,7 @@ LAWS = {
     "periodic_state_dependent": (PeriodicStateDependent, ("h",), True),
 }
 
-SIM_KEYS = ("dt", "horizon", "event_tol", "zeno_floor", "sample_every")
+SIM_KEYS = ("dt", "horizon", "zeno_floor", "sample_every")
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,6 @@ class ExperimentConfig:
     sim: SimConfig
     output_dir: str
     sweep: tuple = ()
-    sim_raw: tuple = ()  # explicit [sim] keys, kept for sweep rebuilds
 
     def __post_init__(self) -> None:
         x0 = np.asarray(self.x0, dtype=float)
@@ -224,10 +223,9 @@ def _parse_sim_section(parser, g: WeightedDigraph):
         else:
             kwargs[key] = _float(section[key], f"sim.{key}")
     try:
-        cfg = sim_config(g, **kwargs)
+        return sim_config(g, **kwargs)
     except InvalidParameter as exc:
         raise ConfigError(f"sim: {exc}")
-    return cfg, tuple(sorted(kwargs.items()))
 
 
 _RANDOM_X0 = re.compile(
@@ -290,7 +288,7 @@ def load_config(path) -> ExperimentConfig:
     parser = _parser(path)
     g = _parse_graph_section(parser, path.parent)
     law, law_keys = _parse_law_section(parser, g)
-    sim, sim_raw = _parse_sim_section(parser, g)
+    sim = _parse_sim_section(parser, g)
     x0, output_dir = _parse_run_section(parser, g)
     unknown = set(parser.sections()) - {"graph", "law", "sim", "run", "sweep", "linear_et"}
     if unknown:
@@ -303,7 +301,6 @@ def load_config(path) -> ExperimentConfig:
         sim=sim,
         output_dir=output_dir,
         sweep=sweep,
-        sim_raw=sim_raw,
     )
 
 
@@ -317,8 +314,7 @@ def sweep_points(cfg: ExperimentConfig):
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict):
     """Rebuild (law, sim) for one sweep point; validates against the graph."""
-    law = cfg.law
-    sim_kwargs = dict(cfg.sim_raw)
+    law, sim_fields = cfg.law, {}
     try:
         for key, value in overrides.items():
             target, field = key.split(".", 1)
@@ -327,10 +323,10 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict):
                     raise ConfigError(f"sweep.{key}: the ideal law has no parameters")
                 law = dataclasses.replace(law, **{field: value})
             else:
-                sim_kwargs[field] = int(value) if field == "sample_every" else value
+                sim_fields[field] = int(value) if field == "sample_every" else float(value)
         if law is not None:
             validate_law(law, cfg.graph)
-        sim = sim_config(cfg.graph, **sim_kwargs)
+        sim = dataclasses.replace(cfg.sim, **sim_fields)
     except InvalidParameter as exc:
         raise ConfigError(f"sweep point {overrides}: {exc}")
     return law, sim

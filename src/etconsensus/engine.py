@@ -48,21 +48,6 @@ ALL_AGENTS = -1
 MAX_EVENTS_PER_WINDOW = 10_000
 
 
-@dataclass
-class NetworkState:
-    """Mutable closed-loop state: time, true states, last broadcasts, and
-    per-agent last event times.
-
-    The broadcast error e = xhat - x is always derived, never stored; right
-    after agent i fires, xhat[i] equals x[i] exactly, so e_i restarts at zero.
-    """
-
-    t: float
-    x: np.ndarray
-    xhat: np.ndarray
-    last_event: np.ndarray
-
-
 @dataclass(frozen=True)
 class EventRecord:
     """One broadcast: time, firing agent (or ALL_AGENTS), and the value sent."""
@@ -77,16 +62,13 @@ class SimConfig:
     """Sampling and reporting settings.
 
     ``dt`` is the spacing of the sampled trace (and of the Zeno budget
-    windows), ``event_tol`` only the slack allowed when observed gaps are
-    compared with the centralized floor in bound reports (event times are
-    exact), ``zeno_floor`` the smallest believable inter-event spacing
+    windows), ``zeno_floor`` the smallest believable inter-event spacing
     (smaller gaps are flagged), and ``sample_every`` the trace decimation
     stride.
     """
 
     dt: float
     horizon: float
-    event_tol: float
     zeno_floor: float = 1e-7
     sample_every: int = 1
 
@@ -95,10 +77,6 @@ class SimConfig:
             raise InvalidParameter(f"dt must be positive, got {self.dt}")
         if self.horizon <= 0.0:
             raise InvalidParameter(f"horizon must be positive, got {self.horizon}")
-        if not 0.0 < self.event_tol < self.dt:
-            raise InvalidParameter(
-                f"event_tol must lie in (0, dt={self.dt}), got {self.event_tol}"
-            )
         if not 0.0 <= self.zeno_floor < self.dt:
             raise InvalidParameter(
                 f"zeno_floor must lie in [0, dt={self.dt}), got {self.zeno_floor}"
@@ -111,23 +89,18 @@ def sim_config(
     g: WeightedDigraph,
     horizon: float,
     dt: Optional[float] = None,
-    event_tol: Optional[float] = None,
     zeno_floor: float = 1e-7,
     sample_every: int = 1,
 ) -> SimConfig:
     """Build a SimConfig with graph-aware defaults.
 
-    dt defaults to 0.01 / lambda_N (the trace resolves the fastest mode);
-    event_tol defaults to dt / 1000.
+    dt defaults to 0.01 / lambda_N (the trace resolves the fastest mode).
     """
     if dt is None:
         dt = 0.01 / spectral_info(g).lambda_n
-    if event_tol is None:
-        event_tol = dt * 1e-3
     return SimConfig(
         dt=float(dt),
         horizon=float(horizon),
-        event_tol=float(event_tol),
         zeno_floor=float(zeno_floor),
         sample_every=int(sample_every),
     )
@@ -135,11 +108,11 @@ def sim_config(
 
 @dataclass(frozen=True)
 class Trace:
-    """Sampled trajectory, event log, Lyapunov series, and Zeno flags.
+    """Sampled trajectory, event log, and Lyapunov series.
 
     ``lyapunov[k]`` is 0.5 ||x(t_k) - xbar 1||^2 with xbar the mean of the
-    initial state; ``zeno_flags`` lists (agent, t) pairs whose inter-event
-    spacing fell below the configured floor.
+    initial state. Inter-event statistics and the Zeno verdict are derived
+    from the event log by ``metrics.inter_event_stats``.
     """
 
     times: np.ndarray
@@ -147,7 +120,6 @@ class Trace:
     xhats: np.ndarray
     events: tuple
     lyapunov: np.ndarray
-    zeno_flags: tuple
 
     def __post_init__(self) -> None:
         for name in ("times", "states", "xhats", "lyapunov"):
@@ -232,7 +204,6 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
         xhats=states.copy(),
         events=(),
         lyapunov=_lyapunov(states, float(x0.mean())),
-        zeno_flags=(),
     )
 
 
@@ -574,9 +545,11 @@ def simulate_triggered(
 
     rule = _law_rule(g, law, laplacian(g), info.laplacian_norm)
 
-    state = NetworkState(t=0.0, x=x0.copy(), xhat=x0.copy(), last_event=np.zeros(n))
+    # Closed-loop state: time, true states and last broadcasts. The error
+    # e = xhat - x is always derived; right after agent i fires, xhat[i]
+    # equals x[i] exactly, so e_i restarts at zero.
+    t, x, xhat = 0.0, x0.copy(), x0.copy()
     events: list[EventRecord] = []
-    zeno_flags: list[tuple[int, float]] = []
 
     # t = 0 bootstrap: every agent broadcasts so xhat(0) = x0.
     if isinstance(law, CentralizedNorm):
@@ -584,8 +557,8 @@ def simulate_triggered(
     else:
         for i in range(n):
             events.append(EventRecord(t=0.0, agent=i, value=float(x0[i])))
-    rule.refresh(state.xhat)
-    velocity = rule.velocity(state.xhat)
+    rule.refresh(xhat)
+    velocity = rule.velocity(xhat)
 
     states = np.empty((len(times), n))
     xhats = np.empty((len(times), n))
@@ -598,48 +571,45 @@ def simulate_triggered(
         if math.ceil(t_star / dt) != window:
             window, window_count[:] = math.ceil(t_star / dt), 0
         while True:
-            ready = rule.fired(t_star, x_at, state.xhat)
+            ready = rule.fired(t_star, x_at, xhat)
             if not ready.size:
                 return
             i = int(ready[0])
             if i == ALL_AGENTS:
-                state.xhat[:] = x_at
+                xhat[:] = x_at
                 events.append(EventRecord(t=t_star, agent=ALL_AGENTS, value=x_at.copy()))
                 agents = range(n)
             else:
-                state.xhat[i] = x_at[i]
+                xhat[i] = x_at[i]
                 events.append(EventRecord(t=t_star, agent=i, value=float(x_at[i])))
                 agents = (i,)
             for a in agents:
-                if t_star - state.last_event[a] < cfg.zeno_floor:
-                    zeno_flags.append((a, t_star))
-                state.last_event[a] = t_star
                 window_count[a] += 1
                 if window_count[a] > MAX_EVENTS_PER_WINDOW:
                     raise ZenoAbort(t_star, a, events)
-            rule.refresh(state.xhat)
+            rule.refresh(xhat)
 
     decision = steps_per_h if periodic else 0
     while True:
         if periodic:
             on_grid = decision <= n_steps and decision * dt <= horizon
             t_next = decision * dt if on_grid else math.inf
-            step = t_next - state.t
+            step = t_next - t
             decision += steps_per_h
         else:
-            step = float(rule.delays(state.t, state.x, state.xhat, velocity).min())
-            t_next = state.t + step
+            step = float(rule.delays(t, x, xhat, velocity).min())
+            t_next = t + step
         stop = int(np.searchsorted(times, t_next))
         if stop > row:
-            states[row:stop] = state.x + (times[row:stop] - state.t)[:, None] * velocity
-            xhats[row:stop] = state.xhat
+            states[row:stop] = x + (times[row:stop] - t)[:, None] * velocity
+            xhats[row:stop] = xhat
             row = stop
         if t_next > t_end:
             break
-        state.x = state.x + step * velocity
-        state.t = t_next
-        fire_instant(state.t, state.x)
-        velocity = rule.velocity(state.xhat)
+        x = x + step * velocity
+        t = t_next
+        fire_instant(t, x)
+        velocity = rule.velocity(xhat)
 
     return Trace(
         times=times,
@@ -647,7 +617,6 @@ def simulate_triggered(
         xhats=xhats,
         events=tuple(events),
         lyapunov=_lyapunov(states, float(x0.mean())),
-        zeno_flags=tuple(zeno_flags),
     )
 
 

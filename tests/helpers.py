@@ -1,6 +1,8 @@
-"""Shared test utilities: random stabilized plants and event-floor search."""
+"""Shared test utilities: random stabilized plants, event-floor search, and
+CSV text comparison."""
 
 import numpy as np
+import pytest
 
 from etconsensus import NoRootFound, design, min_inter_event_time
 
@@ -34,3 +36,12 @@ def floor_with_window(sys_, lyap):
         except NoRootFound:
             t_max *= 4.0
     raise AssertionError("no determinant root found in any window")
+
+
+def assert_same_csv(got, want, label=""):
+    """Byte equality of two CSV texts; a failure names the first line that
+    differs (a full diff of long texts is slow to render)."""
+    if got != want:
+        lines = zip(got.splitlines(), want.splitlines())
+        first = next((k for k, (a, b) in enumerate(lines) if a != b), "past the shorter text")
+        pytest.fail(f"{label} differs at line {first}")

@@ -76,7 +76,7 @@ def test_criterion_1_ideal_consensus():
 
 def test_criterion_2_centralized_gap_floor():
     """sigma in {0.1, 0.5, 0.9} on P2, K3, and a random 5-node graph: every
-    inter-event gap >= tau - event_tol and consensus to 1e-4."""
+    inter-event gap >= tau - dt / 1000 and consensus to 1e-4."""
     rng = np.random.default_rng(1205)
     graphs = [p2_graph(), k3_graph(),
               random_connected_undirected(5, rng, edge_prob=0.6)]
@@ -89,7 +89,7 @@ def test_criterion_2_centralized_gap_floor():
             tr = simulate_triggered(g, CentralizedNorm(sigma=sigma), x0, cfg)
             m = compute_run_metrics(tr, cfg.zeno_floor)
             tau = min_inter_event_bound_centralized(g, sigma)
-            ok &= m.min_gap >= tau - cfg.event_tol
+            ok &= m.min_gap >= tau - cfg.dt * 1e-3
             ok &= m.final_disagreement <= 1e-4
     report("2 centralized-gap-floor", ok)
 
@@ -152,7 +152,7 @@ def test_criterion_5_directed_law():
         undirected = simulate_triggered(g, StateDependent(), x0, cfg)
         ok &= len(directed.events) == len(undirected.events)
         ok &= all(
-            abs(a.t - b.t) <= cfg.event_tol and a.agent == b.agent
+            abs(a.t - b.t) <= cfg.dt * 1e-3 and a.agent == b.agent
             for a, b in zip(directed.events, undirected.events)
         )
     report("5 directed-law", ok)
@@ -212,12 +212,11 @@ def test_criterion_8_decentralized_and_zeno_flag():
     ok &= m.zeno_suspect == (m.min_gap < cfg.zeno_floor)
 
     adversarial = DecentralizedState(a=1.0 - 1e-15, sigma_i=0.999)
-    zcfg = SimConfig(dt=1e-4, horizon=2e-4, event_tol=1e-9, zeno_floor=1e-7)
+    zcfg = SimConfig(dt=1e-4, horizon=2e-4, zeno_floor=1e-7)
     trz = simulate_triggered(g, adversarial, [1.0, -1.0], zcfg)
     mz = compute_run_metrics(trz, zcfg.zeno_floor)
     ok &= mz.min_gap < zcfg.zeno_floor
     ok &= mz.zeno_suspect
-    ok &= len(trz.zeno_flags) > 0
     report("8 decentralized-zeno-flag", ok)
 
 

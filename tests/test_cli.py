@@ -15,6 +15,9 @@ from etconsensus.cli import check_bounds, main
 from etconsensus.config import load_linear_et_config
 from etconsensus.linear_et import default_t_max, design, simulate_sample_hold
 from etconsensus.metrics import RunMetrics, parse_metrics_csv
+from helpers import assert_same_csv
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 GRAPH_BLOCK = """
 [graph]
@@ -68,7 +71,7 @@ def test_run_zeno_abort_exit_code(tmp_path, capsys):
     cfg = make_config(tmp_path, law, horizon=0.001)
     cfg.write_text(cfg.read_text().replace(
         "[sim]\nhorizon = 0.001",
-        "[sim]\nhorizon = 0.001\ndt = 0.0005\nevent_tol = 1e-9",
+        "[sim]\nhorizon = 0.001\ndt = 0.0005",
     ))
     assert main(["run", str(cfg)]) == 3
     assert "zeno" in capsys.readouterr().err.lower()
@@ -88,7 +91,7 @@ def test_sweep_zeno_abort_keeps_finished_points(tmp_path, capsys):
                       extra="\n[sweep]\nlaw.a = 0.5, 0.999999999999999, 0.25\n")
     cfg.write_text(cfg.read_text().replace(
         "[sim]\nhorizon = 0.001",
-        "[sim]\nhorizon = 0.001\ndt = 0.0005\nevent_tol = 1e-9",
+        "[sim]\nhorizon = 0.001\ndt = 0.0005",
     ))
     assert main(["run", str(cfg), "--quiet"]) == 3
     assert "zeno" in capsys.readouterr().err.lower()
@@ -108,7 +111,8 @@ def test_run_is_byte_deterministic(tmp_path):
     assert main(["run", str(cfg), "--quiet", "--output-dir", str(tmp_path / "a")]) == 0
     assert main(["run", str(cfg), "--quiet", "--output-dir", str(tmp_path / "b")]) == 0
     for fname in ("metrics.csv", "trace.csv", "events.csv"):
-        assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+        a, b = ((tmp_path / d / fname).read_text() for d in ("a", "b"))
+        assert_same_csv(a, b, fname)
 
 
 def test_run_sweep_outputs(tmp_path):
@@ -140,7 +144,7 @@ def test_sweep_computes_spectral_info_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    config = Path(__file__).resolve().parent.parent / "configs" / "centralized_k3.cfg"
+    config = CONFIG_DIR / "centralized_k3.cfg"
     assert main(["run", str(config), "--output-dir", str(tmp_path)]) == 0
     assert len(list(tmp_path.glob("point_*"))) == 3
     assert counts == {"eigvalsh": 1, "norm2": 1}
@@ -153,6 +157,31 @@ def test_bounds_subcommand(tmp_path, capsys):
     assert main(["bounds", str(metrics), str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "min_inter_event_gap" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_shipped_configs_pass_their_bound_tables(tmp_path, capsys, config):
+    path = CONFIG_DIR / config
+    command = "linear-et" if "[linear_et]" in path.read_text() else "run"
+    assert main([command, str(path), "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("where", ["[sim]", "[sweep]"])
+def test_event_tol_key_is_rejected(tmp_path, capsys, where):
+    """event_tol is no longer a [sim] key; a config or a sweep naming it is a
+    validation error that names the key."""
+    cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5")
+    text = cfg.read_text()
+    if where == "[sim]":
+        text = text.replace("[sim]\n", "[sim]\nevent_tol = 1e-9\n")
+    else:
+        text += "\n[sweep]\nsim.event_tol = 1e-9, 1e-8\n"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 2
+    assert "event_tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_periodic_inadmissible_h_warns_but_runs(tmp_path, capsys):
@@ -255,6 +284,9 @@ def test_missing_config_is_validation_error(capsys):
 
 # -- check_bounds unit behaviour ------------------------------------------------
 
+DT = 0.005  # the default sample spacing 0.01 / lambda_N on P2
+
+
 def metrics_stub(**kw) -> RunMetrics:
     base = dict(
         final_disagreement=1e-6,
@@ -272,28 +304,30 @@ def metrics_stub(**kw) -> RunMetrics:
 
 def test_check_bounds_centralized(p2):
     tau = min_inter_event_bound_centralized(p2, 0.5)
-    ok = check_bounds(metrics_stub(min_gap=tau + 0.01), CentralizedNorm(0.5), p2)
+    ok = check_bounds(metrics_stub(min_gap=tau + 0.01), CentralizedNorm(0.5), p2, DT)
     assert all(c.passed for c in ok)
-    bad = check_bounds(metrics_stub(min_gap=tau - 0.01), CentralizedNorm(0.5), p2)
+    bad = check_bounds(metrics_stub(min_gap=tau - 0.01), CentralizedNorm(0.5), p2, DT)
     assert any(not c.passed and c.name == "min_inter_event_gap" for c in bad)
+    gap = next(c for c in ok if c.name == "min_inter_event_gap")
+    assert gap.bound == tau - DT * 1e-3
 
 
 def test_check_bounds_time_dependent_radius(p2):
     law = TimeDependent(c0=0.1, c1=0.0, alpha=1.0)
-    good = check_bounds(metrics_stub(final_disagreement=0.1), law, p2)
+    good = check_bounds(metrics_stub(final_disagreement=0.1), law, p2, DT)
     assert all(c.passed for c in good)
-    bad = check_bounds(metrics_stub(final_disagreement=0.2), law, p2)
+    bad = check_bounds(metrics_stub(final_disagreement=0.2), law, p2, DT)
     assert any(not c.passed for c in bad)
 
 
 def test_check_bounds_ideal_decay(p2):
-    assert all(c.passed for c in check_bounds(metrics_stub(decay_rate=2.0), None, p2))
-    nan = check_bounds(metrics_stub(decay_rate=math.nan), None, p2)
+    assert all(c.passed for c in check_bounds(metrics_stub(decay_rate=2.0), None, p2, DT))
+    nan = check_bounds(metrics_stub(decay_rate=math.nan), None, p2, DT)
     assert any(not c.passed and c.name == "decay_rate" for c in nan)
 
 
 def test_check_bounds_periodic(p2):
     law = PeriodicStateDependent(h=0.05)
-    checks = check_bounds(metrics_stub(min_gap=0.05), law, p2)
+    checks = check_bounds(metrics_stub(min_gap=0.05), law, p2, DT)
     names = {c.name: c.passed for c in checks}
     assert names["period_h"] and names["min_inter_event_gap"]

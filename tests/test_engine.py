@@ -32,6 +32,7 @@ from etconsensus import (
 )
 from etconsensus.engine import _CSV_BLOCK
 from etconsensus.metrics import compute_run_metrics, inter_event_stats
+from helpers import assert_same_csv
 
 
 def gaps_of(events):
@@ -66,7 +67,7 @@ def test_ideal_p2_is_exact(p2):
 def test_ideal_accepts_steps_beyond_the_exponential_range(k3):
     """||L dt|| = 800 exceeds what one Pade exponential accepts; the step
     is taken as a power of a shorter one, and still decays to the mean."""
-    cfg = SimConfig(dt=200.0, horizon=1000.0, event_tol=1e-3)
+    cfg = SimConfig(dt=200.0, horizon=1000.0)
     tr = simulate_ideal(k3, [1.0, 0.0, -1.0], cfg)
     assert np.max(np.abs(tr.states[1:])) <= 1e-10
 
@@ -88,10 +89,10 @@ def test_ideal_conserves_state_sum(rng):
 def test_ideal_rejects_bad_graphs():
     with pytest.raises(NotBalanced):
         g = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
-        simulate_ideal(g, [1.0, -1.0], SimConfig(dt=0.01, horizon=1.0, event_tol=1e-5))
+        simulate_ideal(g, [1.0, -1.0], SimConfig(dt=0.01, horizon=1.0))
     with pytest.raises(NotConnected):
         g = WeightedDigraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)], directed=False)
-        simulate_ideal(g, [1.0, -1.0, 0.0, 0.0], SimConfig(dt=0.01, horizon=1.0, event_tol=1e-5))
+        simulate_ideal(g, [1.0, -1.0, 0.0, 0.0], SimConfig(dt=0.01, horizon=1.0))
 
 
 # -- triggered runs ------------------------------------------------------------
@@ -111,7 +112,7 @@ def test_centralized_gap_floor_on_p2(p2):
     tau = min_inter_event_bound_centralized(p2, 0.5)
     assert tau == pytest.approx(1.0 / 6.0)
     gaps = gaps_of(tr.events)
-    assert gaps and min(gaps) >= tau - cfg.event_tol
+    assert gaps and min(gaps) >= tau - cfg.dt * 1e-3
     assert min(gaps) == pytest.approx(tau, abs=1e-3)
 
 
@@ -133,7 +134,7 @@ def test_centralized_gap_floor_random_graphs(rng):
         tr = simulate_triggered(g, CentralizedNorm(sigma=sigma), rng.uniform(-1, 1, n), cfg)
         tau = min_inter_event_bound_centralized(g, sigma)
         gaps = gaps_of(tr.events)
-        assert gaps and min(gaps) >= tau - cfg.event_tol
+        assert gaps and min(gaps) >= tau - cfg.dt * 1e-3
 
 
 def test_time_dependent_radius_on_p2(p2):
@@ -152,7 +153,7 @@ def test_time_dependent_error_envelope(p2):
     cfg = sim_config(p2, horizon=10.0)
     tr = simulate_triggered(p2, law, [1.0, -1.0], cfg)
     rate_bound = np.max(np.abs(tr.xhats @ laplacian(p2).T))
-    slack = cfg.event_tol * rate_bound + 1e-12
+    slack = cfg.dt * 1e-3 * rate_bound + 1e-12
     for k, t in enumerate(tr.times):
         threshold = law.c0 + law.c1 * math.exp(-law.alpha * t)
         errors = np.abs(tr.xhats[k] - tr.states[k])
@@ -235,7 +236,7 @@ def test_periodic_condition_holds_at_sample_instants(cycle3):
 
 def test_zeno_abort_carries_event_log(p2):
     law = DecentralizedState(a=1.0 - 1e-15, sigma_i=0.999)
-    cfg = SimConfig(dt=5e-4, horizon=1e-3, event_tol=1e-9, zeno_floor=1e-7)
+    cfg = SimConfig(dt=5e-4, horizon=1e-3, zeno_floor=1e-7)
     with pytest.raises(ZenoAbort) as info:
         simulate_triggered(p2, law, [1.0, -1.0], cfg)
     assert len(info.value.events) > 10_000
@@ -244,9 +245,8 @@ def test_zeno_abort_carries_event_log(p2):
 
 def test_zeno_flags_below_floor(p2):
     law = DecentralizedState(a=1.0 - 1e-15, sigma_i=0.999)
-    cfg = SimConfig(dt=1e-4, horizon=2e-4, event_tol=1e-9, zeno_floor=1e-7)
+    cfg = SimConfig(dt=1e-4, horizon=2e-4, zeno_floor=1e-7)
     tr = simulate_triggered(p2, law, [1.0, -1.0], cfg)
-    assert tr.zeno_flags
     min_gap, _, suspect = inter_event_stats(tr.events, cfg.zeno_floor)
     assert suspect and min_gap < cfg.zeno_floor
 
@@ -265,11 +265,9 @@ def test_runs_are_reproducible(k3):
 
 def test_sim_config_validation(p2):
     with pytest.raises(InvalidParameter):
-        SimConfig(dt=0.01, horizon=1.0, event_tol=0.02)
+        SimConfig(dt=0.01, horizon=1.0, zeno_floor=0.5)
     with pytest.raises(InvalidParameter):
-        SimConfig(dt=0.01, horizon=1.0, event_tol=1e-5, zeno_floor=0.5)
-    with pytest.raises(InvalidParameter):
-        SimConfig(dt=0.01, horizon=-1.0, event_tol=1e-5)
+        SimConfig(dt=0.01, horizon=-1.0)
     with pytest.raises(InvalidParameter):
         simulate_triggered(p2, StateDependent(), [1.0, 2.0, 3.0], sim_config(p2, horizon=1.0))
 
@@ -305,7 +303,7 @@ def synthetic_trace(xhats, states=None, seed=0):
     if states is None:
         states = rng.standard_normal(xhats.shape)
     return Trace(times=np.arange(rows) * 0.25, states=states,
-                 xhats=xhats, events=(), lyapunov=rng.random(rows), zeno_flags=())
+                 xhats=xhats, events=(), lyapunov=rng.random(rows))
 
 
 def held_rows(n, rows, changes, seed=0):
@@ -327,15 +325,6 @@ def block_rows(n):
     return max(1, _CSV_BLOCK // (2 * n + 2))
 
 
-def assert_same_csv(got, want, label=""):
-    """Byte equality of two CSV texts; a failure names the first line that
-    differs (a full diff of long texts is slow to render)."""
-    if got != want:
-        lines = zip(got.splitlines(), want.splitlines())
-        first = next((k for k, (a, b) in enumerate(lines) if a != b), "past the shorter text")
-        pytest.fail(f"{label} differs at line {first}")
-
-
 def test_trace_csv_matches_per_element_formatter(p2, k3):
     specials = [-0.0, 0.0, 1e-5, 1e16, 5e-324, -1.7976931348623157e308, 0.1, 1 / 3]
     rows = 700  # spans several render blocks of whole rows
@@ -343,7 +332,7 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
     states = np.resize(np.array(specials), (rows, 3))
     xhats = np.resize(np.array(specials[::-1]), (rows, 3))
     lyap = np.resize(np.array(specials[2:]), rows)
-    tr = Trace(times=times, states=states, xhats=xhats, events=(), lyapunov=lyap, zeno_flags=())
+    tr = Trace(times=times, states=states, xhats=xhats, events=(), lyapunov=lyap)
     assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr))
     run = simulate_triggered(p2, CentralizedNorm(sigma=0.5), [1.0, -1.0],
                              sim_config(p2, horizon=3.0, sample_every=7))
