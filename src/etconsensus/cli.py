@@ -212,9 +212,9 @@ def cmd_bounds(args) -> int:
 def cmd_linear_et(args) -> int:
     lcfg = load_linear_et_config(args.config)
     sys_, lyap = design(lcfg.a, lcfg.b, lcfg.k, lcfg.q, lcfg.r, lcfg.a_s)
-    t_max = lcfg.t_max or default_t_max(lyap)
+    t_max = default_t_max(lyap) if lcfg.t_max is None else lcfg.t_max
     t_min = min_inter_event_time(sys_, lyap, t_max)
-    horizon = lcfg.horizon or 20.0 * t_min
+    horizon = 20.0 * t_min if lcfg.horizon is None else lcfg.horizon
     trace = simulate_sample_hold(
         sys_, lyap, lcfg.x0, horizon,
         samples_per_interval=lcfg.samples_per_interval, t_max=t_max,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,16 +121,22 @@ def _parser(path: Path) -> configparser.ConfigParser:
 
 def _floats(raw: str, field: str) -> list:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"{field}: expected comma-separated numbers, got {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{field}: values must be finite, got {raw!r}")
+    return values
 
 
 def _float(raw: str, field: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{field}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{field}: must be finite, got {raw!r}")
+    return value
 
 
 def _parse_graph_section(parser, base: Path) -> WeightedDigraph:
@@ -395,9 +402,24 @@ def load_linear_et_config(path) -> LinearEtConfig:
     x0_values = _floats(section["x0"], "linear_et.x0")
     if len(x0_values) != n:
         raise ConfigError(f"linear_et.x0: expected {n} values, got {len(x0_values)}")
-    horizon = _float(section["horizon"], "linear_et.horizon") if "horizon" in section else None
-    t_max = _float(section["t_max"], "linear_et.t_max") if "t_max" in section else None
-    spi = int(section.get("samples_per_interval", 20))
+
+    def positive(key: str) -> Optional[float]:
+        if key not in section:
+            return None
+        value = _float(section[key], f"linear_et.{key}")
+        if value <= 0.0:
+            raise ConfigError(f"linear_et.{key}: must be positive, got {section[key]!r}")
+        return value
+
+    horizon = positive("horizon")
+    t_max = positive("t_max")
+    raw_spi = section.get("samples_per_interval", "20")
+    try:
+        spi = int(raw_spi)
+    except ValueError:
+        raise ConfigError(
+            f"linear_et.samples_per_interval: expected an integer, got {raw_spi!r}"
+        )
     if spi < 1:
         raise ConfigError("linear_et.samples_per_interval: must be >= 1")
     output_dir = "out"

@@ -73,10 +73,10 @@ class SimConfig:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise InvalidParameter(f"dt must be positive, got {self.dt}")
-        if self.horizon <= 0.0:
-            raise InvalidParameter(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.dt < math.inf:
+            raise InvalidParameter(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidParameter(f"horizon must be positive and finite, got {self.horizon}")
         if not 0.0 <= self.zeno_floor < self.dt:
             raise InvalidParameter(
                 f"zeno_floor must lie in [0, dt={self.dt}), got {self.zeno_floor}"

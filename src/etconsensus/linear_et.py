@@ -7,6 +7,12 @@ Events fire when the gap f = V - S turns nonnegative. The first singularity
 of the associated gap matrix M(t) yields a uniform lower bound on inter-event
 times, so the whole schedule is certifiably Zeno-free.
 
+Between updates the extended closed loop y = [x, e] (e = x_ell - x, the
+hold error) runs under F and the comparison state x_s under A_s. Everything
+here propagates the one joint state z = [x, e, x_s] under G = diag(F, A_s),
+restarted at [x_ell, 0, x_ell], by exponentials and powers of G, and reads
+V - S off it.
+
 Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 """
 
@@ -161,22 +167,22 @@ class LinearEtSystem:
 
 @dataclass(frozen=True)
 class LyapunovData:
-    """Solved Lyapunov matrix P with the extended dynamics F, comparison
-    dynamics F_s, and the state selector C = [I 0].
+    """Solved Lyapunov matrix P, the extended dynamics F of y = [x, e], and
+    the joint generator G = diag(F, A_s) of z = [x, e, x_s].
 
-    The grid scans' stacked one-step powers (per grid step) and the
-    bisections' halving ladders (per bracket width) are kept on the instance.
+    The grid scans' stacked step powers of exp(G step) (per grid step) and
+    the bisections' halving ladders of G (per bracket width) are kept on the
+    instance.
     """
 
     p: np.ndarray
     f: np.ndarray
-    f_s: np.ndarray
-    c: np.ndarray
+    g: np.ndarray
     _grid_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _halvings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("p", "f", "f_s", "c"):
+        for name in ("p", "f", "g"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -233,15 +239,39 @@ def design(a, b, k, q, r, a_s=None):
 
     bk = b @ k
     f = np.block([[a_cl, bk], [-a_cl, -bk]])
-    f_s = np.block([[a_s, np.zeros((n, n))], [np.zeros((n, n)), np.zeros((n, n))]])
-    c = np.hstack([np.eye(n), np.zeros((n, n))])
+    g = np.block([[f, np.zeros((2 * n, n))], [np.zeros((n, 2 * n)), a_s]])
     sys = LinearEtSystem(a=a, b=b, k=k, q=q, r=r, a_s=a_s)
-    return sys, LyapunovData(p=p, f=f, f_s=f_s, c=c)
+    return sys, LyapunovData(p=p, f=f, g=g)
 
 
 # ---------------------------------------------------------------------------
 # Gap function, event times, inter-event floor
 # ---------------------------------------------------------------------------
+
+def _start(x_ell: np.ndarray) -> np.ndarray:
+    """Joint states [x_ell; 0; x_ell] right after an update, one column per
+    column of x_ell (a vector gives one column)."""
+    cols = x_ell.reshape(len(x_ell), -1)
+    return np.vstack([cols, np.zeros_like(cols), cols])
+
+
+def _gram(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^T P a for each matrix of a stack."""
+    return np.swapaxes(a, -1, -2) @ p @ a
+
+
+def _gap(lyap: LyapunovData, z: np.ndarray) -> np.ndarray:
+    """V - S of joint states held as the columns of z, or of each matrix of a
+    stack: x^T P x - x_s^T P x_s. One column gives the gap f; the columns
+    [I; 0; I] carried to time t give M(t)."""
+    n = lyap.n
+    return _gram(z[..., :n, :], lyap.p) - _gram(z[..., 2 * n:, :], lyap.p)
+
+
+def _gap_at(lyap: LyapunovData, t: float, z0: np.ndarray) -> np.ndarray:
+    """_gap of the joint states z0 carried to time t by one exponential."""
+    return _gap(lyap, matrix_exponential(lyap.g, t) @ z0)
+
 
 def trigger_gap(sys: LinearEtSystem, lyap: LyapunovData, t: float, x_ell) -> float:
     """Gap f(t) = V(t) - S(t) at elapsed time t after an update at state x_ell.
@@ -253,21 +283,13 @@ def trigger_gap(sys: LinearEtSystem, lyap: LyapunovData, t: float, x_ell) -> flo
     n = lyap.n
     if x_ell.shape != (n,):
         raise DimensionMismatch(f"x_ell must have length {n}, got {x_ell.shape}")
-    y = np.concatenate([x_ell, np.zeros(n)])
-    xv = (matrix_exponential(lyap.f, t) @ y)[:n]
-    xs = (matrix_exponential(lyap.f_s, t) @ y)[:n]
-    return float(xv @ lyap.p @ xv - xs @ lyap.p @ xs)
+    return float(_gap_at(lyap, t, _start(x_ell))[0, 0])
 
 
 def gap_matrix(lyap: LyapunovData, t: float) -> np.ndarray:
     """Matrix M(t) with f(t) = x_ell^T M(t) x_ell; events exist once it is
     singular."""
-    n = lyap.n
-    cpc = lyap.c.T @ lyap.p @ lyap.c
-    phi = matrix_exponential(lyap.f, t)
-    phi_s = matrix_exponential(lyap.f_s, t)
-    full = phi.T @ cpc @ phi - phi_s.T @ cpc @ phi_s
-    return full[:n, :n]
+    return _gap_at(lyap, t, _start(np.eye(lyap.n)))
 
 
 def _powers(phi: np.ndarray, count: int) -> np.ndarray:
@@ -282,27 +304,23 @@ def _powers(phi: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _grid_steps(lyap: LyapunovData, step: float, count: int):
-    """Stacked one-step powers of exp(F step) and of exp(A_s step), kept on
-    lyap per (step, count)."""
-    key = (step, count)
+def _grid_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
+    """Joint states at the grid points k step, k = 1 ... grid_points, from z0
+    at t = 0, a block at a time: yields (k0, zs) with zs[j] the state at grid
+    point k0 + j.
+
+    The stacked step powers of exp(G step) are kept on lyap per (step, block).
+    """
+    block = min(_BLOCK, grid_points)
+    key = (step, block)
     if key not in lyap._grid_powers:
-        n = lyap.n
-        lyap._grid_powers[key] = (
-            _powers(matrix_exponential(lyap.f, step), count),
-            _powers(matrix_exponential(lyap.f_s[:n, :n], step), count),
-        )
-    return lyap._grid_powers[key]
-
-
-def _joint_generator(lyap: LyapunovData) -> np.ndarray:
-    """diag(F, A_s): one exponential advances the extended state [x, e] and
-    the comparison state x_s together."""
-    n = lyap.n
-    gen = np.zeros((3 * n, 3 * n))
-    gen[:2 * n, :2 * n] = lyap.f
-    gen[2 * n:, 2 * n:] = lyap.f_s[:n, :n]
-    return gen
+        lyap._grid_powers[key] = _powers(matrix_exponential(lyap.g, step), block)
+    powers = lyap._grid_powers[key]
+    z = z0
+    for k0 in range(1, grid_points + 1, block):
+        zs = powers[:min(block, grid_points + 1 - k0)] @ z
+        yield k0, zs
+        z = zs[-1]
 
 
 def _halving_ladder(gen: np.ndarray, width: float, levels: int) -> np.ndarray:
@@ -322,25 +340,28 @@ def _halving_ladder(gen: np.ndarray, width: float, levels: int) -> np.ndarray:
 
 
 def _halvings(lyap: LyapunovData, width: float, levels: int) -> np.ndarray:
-    """At least ``levels`` levels of the halving ladder of diag(F, A_s) for a
-    bracket of ``width``, kept on lyap per width."""
+    """At least ``levels`` levels of the halving ladder of G for a bracket of
+    ``width``, kept on lyap per width."""
     ladder = lyap._halvings.get(width)
     if ladder is None or len(ladder) < levels:
-        ladder = _halving_ladder(_joint_generator(lyap), width, levels)
+        ladder = _halving_ladder(lyap.g, width, levels)
         lyap._halvings[width] = ladder
     return ladder
 
 
-def _bisect(lyap, lo: float, hi: float, width: float, state, advance, on_left) -> tuple:
+def _bisect(lyap, lo: float, hi: float, width: float, z0, on_left) -> tuple:
     """Halve [lo, hi] to ROOT_TOL, keeping lo where on_left holds.
 
-    ``state`` is the joint state at lo and ``width`` the bracket's nominal
-    width. The i-th midpoint lies width / 2^i past the current lo, so
-    ``advance(E_i, state)`` with level i of the halving ladder carries the
-    state there: one matrix product per step. on_left judges that state, and
-    the state moves with lo. Past t = 2^19 one ulp of t exceeds ROOT_TOL, so
-    the halving stops once the bracket is one ulp wide.
+    ``z0`` is the joint state at t = 0 and ``width`` the bracket's nominal
+    width. The state at lo comes from one exponential over lo, not from a
+    grid scan's chained step powers, whose rounding grows with the grid
+    index. The i-th midpoint lies width / 2^i past the current lo, so level
+    i of the halving ladder carries the state there: one matrix product per
+    step. on_left judges that state, and the state moves with lo. Past
+    t = 2^19 one ulp of t exceeds ROOT_TOL, so the halving stops once the
+    bracket is one ulp wide.
     """
+    state = matrix_exponential(lyap.g, lo) @ z0
     ladder = _halvings(lyap, width, max(1, math.ceil(math.log2(width / ROOT_TOL)) + 1))
     i = 0
     while hi - lo > ROOT_TOL:
@@ -350,7 +371,7 @@ def _bisect(lyap, lo: float, hi: float, width: float, state, advance, on_left) -
         if i == len(ladder):
             # Rounding of lo and hi left the bracket wider than width / 2^i.
             ladder = _halvings(lyap, width, 2 * i)
-        moved = advance(ladder[i], state)
+        moved = ladder[i] @ state
         if on_left(moved):
             lo, state = mid, moved
         else:
@@ -388,11 +409,6 @@ def _first_sign_change(signs: np.ndarray, baseline: float) -> tuple:
     return (first + int(off[0]) if off.size else -1), baseline
 
 
-def _gram(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^T P a for each matrix of a stack."""
-    return np.swapaxes(a, -1, -2) @ p @ a
-
-
 def next_event_time(
     sys: LinearEtSystem,
     lyap: LyapunovData,
@@ -420,57 +436,39 @@ def next_event_time(
         return None
 
     step = t_max / grid_points
-    block = min(_BLOCK, grid_points)
-    phis, phis_s = _grid_steps(lyap, step, block)
-    p = lyap.p
-    v = np.concatenate([x_ell, np.zeros(n)])
-    s = x_ell
+    z0 = _start(x_ell)
     f_prev = 0.0
-    for k0 in range(1, grid_points + 1, block):
-        count = min(block, grid_points + 1 - k0)
-        vs = phis[:count] @ v
-        ss = phis_s[:count] @ s
-        xv = vs[:, :n]
-        f = np.einsum("ki,ij,kj->k", xv, p, xv) - np.einsum("ki,ij,kj->k", ss, p, ss)
+    for k0, zs in _grid_walk(lyap, z0, step, grid_points):
+        f = _gap(lyap, zs)[:, 0, 0]
         j = _first_crossing(f, f_prev, k0)
         if j >= 0:
-            return _event_in_cell(sys, lyap, x_ell, k0 + j, step)
-        v, s, f_prev = vs[-1], ss[-1], f[-1]
+            return _event_in_cell(lyap, z0, k0 + j, step)
+        f_prev = f[-1]
     return None
 
 
-def _event_in_cell(sys, lyap, x_ell, kk: int, step: float) -> Optional[float]:
-    """Bisect grid cell kk for the gap's crossing; None if the gap never
-    turns negative in the first cell.
-
-    The joint state [x, e, x_s] at the bracket's left end comes from one
-    exponential over lo, not from the scan's chained one-step products,
-    whose rounding grows with the grid index.
-    """
-    n = lyap.n
-    p = lyap.p
+def _event_in_cell(lyap, z0, kk: int, step: float) -> Optional[float]:
+    """Bisect grid cell kk for the gap's crossing from the update state z0;
+    None if the gap never turns negative in the first cell."""
     lo, width = (kk - 1) * step, step
     if kk == 1:
         # f(0) = 0 exactly; walk in until the gap is genuinely negative.
-        lo = _negative_start(sys, lyap, x_ell, step)
+        lo = _negative_start(lyap, z0, step)
         if lo is None:
             return None
         width = step - lo
-    z = matrix_exponential(_joint_generator(lyap), lo) @ np.concatenate(
-        [x_ell, np.zeros(n), x_ell])
-
-    def negative(w: np.ndarray) -> bool:
-        return not float(w[:n] @ p @ w[:n] - w[2 * n:] @ p @ w[2 * n:]) >= 0.0
-
     # Left end of the final bracket: within ROOT_TOL of the root with the gap
     # still negative, so resetting there keeps V <= S one-sided.
-    return _bisect(lyap, lo, kk * step, width, z, np.matmul, negative)[0]
+    return _bisect(lyap, lo, kk * step, width, z0,
+                   lambda w: not _gap(lyap, w)[0, 0] >= 0.0)[0]
 
 
-def _negative_start(sys, lyap, x_ell, upper: float) -> Optional[float]:
+def _negative_start(lyap, z0, upper: float) -> Optional[float]:
+    """First of upper / 2, upper / 4, ... (60 halvings) where the gap from
+    z0 is negative, or None."""
     t = 0.5 * upper
     for _ in range(60):
-        if trigger_gap(sys, lyap, t, x_ell) < 0.0:
+        if _gap_at(lyap, t, z0)[0, 0] < 0.0:
             return t
         t *= 0.5
     return None
@@ -498,51 +496,23 @@ def min_inter_event_time(
     """
     if t_max <= 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
-    n = lyap.n
-    p = lyap.p
     step = t_max / grid_points
-    block = min(_BLOCK, grid_points)
-    phis, phis_s = _grid_steps(lyap, step, block)
-    # M(t) = a^T P a - a_s^T P a_s, with a the top n rows of u, the first n
-    # columns of exp(F t), and a_s = exp(A_s t).
-    u = np.eye(2 * n)[:, :n]
-    u_s = np.eye(n)
     baseline = 0.0
-    for k0 in range(1, grid_points + 1, block):
-        count = min(block, grid_points + 1 - k0)
-        us = phis[:count] @ u
-        us_s = phis_s[:count] @ u_s
-        signs = np.linalg.slogdet(_gram(us[:, :n], p) - _gram(us_s, p))[0]
+    for k0, zs in _grid_walk(lyap, _start(np.eye(lyap.n)), step, grid_points):
+        signs = np.linalg.slogdet(_gap(lyap, zs))[0]
         j, baseline = _first_sign_change(signs, baseline)
         if j >= 0:
             return _floor_in_cell(lyap, k0 + j, step, baseline)
-        u, u_s = us[-1], us_s[-1]
     raise NoRootFound(
         f"det M(t) does not change sign on (0, {t_max}]; enlarge t_max"
     )
 
 
 def _floor_in_cell(lyap, kk: int, step: float, baseline: float) -> float:
-    """Bisect grid cell kk for the sign change of det M away from baseline.
-
-    The state is the pair (u, u_s): the first n columns of exp(F t) and
-    exp(A_s t), taken at the cell's left end from one exponential.
-    """
-    n = lyap.n
-    p = lyap.p
-    t_left = (kk - 1) * step
-    e_left = matrix_exponential(_joint_generator(lyap), t_left)
-
-    def advance(e: np.ndarray, state: tuple) -> tuple:
-        u, u_s = state
-        return e[:2 * n, :2 * n] @ u, e[2 * n:, 2 * n:] @ u_s
-
-    def same_sign(state: tuple) -> bool:
-        u, u_s = state
-        return float(np.linalg.slogdet(_gram(u[:n], p) - _gram(u_s, p))[0]) == baseline
-
-    state = (e_left[:2 * n, :n], e_left[2 * n:, 2 * n:])
-    lo, hi = _bisect(lyap, t_left, kk * step, step, state, advance, same_sign)
+    """Bisect grid cell kk for the sign change of det M away from baseline;
+    the state is the columns [I; 0; I]."""
+    lo, hi = _bisect(lyap, (kk - 1) * step, kk * step, step, _start(np.eye(lyap.n)),
+                     lambda w: float(np.linalg.slogdet(_gap(lyap, w))[0]) == baseline)
     return 0.5 * (lo + hi)
 
 
@@ -580,15 +550,17 @@ def simulate_sample_hold(
 ) -> SampleHoldTrace:
     """Run the event-triggered closed loop, sampling V and S between events.
 
-    Each inter-event segment is propagated through the extended dynamics
-    (y = [x, e]) and the comparison dynamics restarted at the segment's
-    initial state. Events are scheduled with :func:`next_event_time`; when no
-    event occurs before t_max the trajectory coasts to the horizon.
+    Each inter-event segment propagates the joint state [x, e, x_s],
+    restarted at the segment's initial state, by one exponential of G.
+    Events are scheduled with :func:`next_event_time`; when no event occurs
+    before t_max the trajectory coasts to the horizon.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = lyap.n
     if x.shape != (n,):
         raise DimensionMismatch(f"x0 must have length {n}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter(f"x0 must be finite, got {x.tolist()}")
     if horizon <= 0.0:
         raise InvalidParameter(f"horizon must be positive, got {horizon}")
     if t_max is None:
@@ -607,10 +579,8 @@ def simulate_sample_hold(
         dt_event = next_event_time(sys, lyap, x, t_max)
         seg = horizon - t if dt_event is None else min(dt_event, horizon - t)
         tau_step = seg / samples_per_interval
-        phi_tau = matrix_exponential(lyap.f, tau_step)
-        es_tau = matrix_exponential(sys.a_s, tau_step)
-        y = np.concatenate([x, np.zeros(n)])
-        xs = x.copy()
+        phi_tau = matrix_exponential(lyap.g, tau_step)
+        z = _start(x).ravel()
         if first_segment:
             times.append(t)
             states.append(x.copy())
@@ -618,15 +588,14 @@ def simulate_sample_hold(
             s_vals.append(float(x @ p @ x))
             first_segment = False
         for j in range(1, samples_per_interval + 1):
-            y = phi_tau @ y
-            xs = es_tau @ xs
-            xj = y[:n]
+            z = phi_tau @ z
+            xj, xs = z[:n], z[2 * n:]
             times.append(t + j * tau_step)
-            states.append(xj.copy())
+            states.append(xj)
             v_vals.append(float(xj @ p @ xj))
             s_vals.append(float(xs @ p @ xs))
         t = t + seg
-        x = y[:n].copy()
+        x = z[:n].copy()
         if dt_event is not None and seg == dt_event:
             event_times.append(t)
 

@@ -87,6 +87,10 @@ class TimeDependent:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.c0, self.c1, self.alpha)):
+            raise InvalidParameter(
+                f"c0, c1 and alpha must be finite, got {self.c0}, {self.c1}, {self.alpha}"
+            )
         if self.c0 < 0.0 or self.c1 < 0.0:
             raise InvalidParameter("c0 and c1 must be nonnegative")
         if self.c0 + self.c1 <= 0.0:
@@ -123,8 +127,8 @@ class PeriodicStateDependent:
     sigma_i: object = DEFAULT_SIGMA
 
     def __post_init__(self) -> None:
-        if self.h <= 0.0:
-            raise InvalidParameter(f"h must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise InvalidParameter(f"h must be positive and finite, got {self.h}")
         object.__setattr__(self, "sigma_i", _normalize_sigma_i(self.sigma_i))
 
 

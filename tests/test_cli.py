@@ -85,6 +85,25 @@ def test_run_rejects_non_finite_x0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, law, horizon, dt", [
+    ("sim.horizon", "type = state_dependent", "inf", None),
+    ("sim.horizon", "type = state_dependent", "nan", None),
+    ("sim.dt", "type = state_dependent", 5, "inf"),
+    ("law.h", "type = periodic_state_dependent\nh = inf", 5, None),
+    ("law.c0", "type = time_dependent\nc0 = nan\nc1 = 1\nalpha = 1", 5, None),
+    ("law.alpha", "type = time_dependent\nc0 = 0.1\nc1 = 1\nalpha = nan", 5, None),
+])
+def test_run_rejects_non_finite_config_numbers(tmp_path, capsys, key, law, horizon, dt):
+    """A nan or infinite number is a validation error that names its key,
+    raised before any output is written."""
+    cfg = make_config(tmp_path, law, horizon=horizon)
+    if dt is not None:
+        cfg.write_text(cfg.read_text().replace("[sim]\n", f"[sim]\ndt = {dt}\n"))
+    assert main(["run", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_zeno_abort_keeps_finished_points(tmp_path, capsys):
     law = "type = decentralized_state\na = 0.5\nsigma_i = 0.999"
     cfg = make_config(tmp_path, law, horizon=0.001,
@@ -230,6 +249,27 @@ def test_linear_et_subcommand(tmp_path, capsys):
     assert "t_min" in out and "PASS" in out and "FAIL" not in out
     assert (tmp_path / "let" / "linear_et_trace.csv").exists()
     assert (tmp_path / "let" / "linear_et_events.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x0", "nan, 0"),
+    ("x0", "inf, 0"),
+    ("t_max", "0"),
+    ("horizon", "0"),
+    ("horizon", "-1"),
+    ("samples_per_interval", "2.5"),
+])
+def test_linear_et_rejects_bad_numbers(tmp_path, capsys, key, value):
+    """Non-finite values, a zero or negative t_max or horizon (which once
+    fell back to the defaults) and a non-integer sample count are
+    validation errors that name the key."""
+    cfg = make_linear_config(tmp_path)
+    lines = [line for line in cfg.read_text().splitlines() if not line.startswith(f"{key} =")]
+    lines.insert(1, f"{key} = {value}")
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["linear-et", str(cfg)]) == 2
+    assert f"linear_et.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "let").exists()
 
 
 def parent_linear_et_trace_csv(trace, n):

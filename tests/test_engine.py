@@ -72,6 +72,13 @@ def test_ideal_accepts_steps_beyond_the_exponential_range(k3):
     assert np.max(np.abs(tr.states[1:])) <= 1e-10
 
 
+@pytest.mark.parametrize("field", ["dt", "horizon"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sim_config_requires_finite_dt_and_horizon(field, bad):
+    with pytest.raises(InvalidParameter, match=f"{field} must be positive and finite"):
+        SimConfig(**{"dt": 0.01, "horizon": 1.0, field: bad})
+
+
 def test_ideal_agreement_start_is_fixed_point(p2):
     tr = simulate_ideal(p2, [3.0, 3.0], sim_config(p2, horizon=2.0))
     assert np.all(tr.states == 3.0)

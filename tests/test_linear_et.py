@@ -129,8 +129,7 @@ def test_design_default_comparison_dynamics(rng):
 def test_design_block_structure():
     sys_, lyap = scalar_toolkit()
     assert np.array_equal(lyap.f, [[-1.0, -1.0], [1.0, 1.0]])
-    assert np.array_equal(lyap.f_s, [[-0.5, 0.0], [0.0, 0.0]])
-    assert np.array_equal(lyap.c, [[1.0, 0.0]])
+    assert np.array_equal(lyap.g, [[-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -0.5]])
     assert lyap.p[0, 0] == pytest.approx(0.5)
 
 
@@ -236,3 +235,86 @@ def test_sample_hold_performance_inequality(rng):
         assert np.max(tr.v_values - tr.s_values) <= 1e-8
         if len(tr.gaps):
             assert tr.gaps.min() >= t_min - 1e-8
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sample_hold_rejects_non_finite_x0(bad):
+    sys_, lyap = scalar_toolkit()
+    with pytest.raises(InvalidParameter, match="x0 must be finite"):
+        simulate_sample_hold(sys_, lyap, [bad], horizon=1.0)
+
+
+# -- joint propagation against the two flows taken separately -------------------
+
+def separate_flows(sys_, lyap, t):
+    """exp(F t) and exp(A_s t), each from scipy on its own."""
+    return scipy.linalg.expm(lyap.f * t), scipy.linalg.expm(sys_.a_s * t)
+
+
+def gap_scale(lyap, x, phi, phi_s):
+    """Size of the two terms V and S that the gap cancels, for the state x
+    carried by the flows phi and phi_s."""
+    norms = np.linalg.norm(phi, 2) ** 2 + np.linalg.norm(phi_s, 2) ** 2
+    return np.linalg.norm(lyap.p, 2) * float(x @ x) * norms
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), span=st.floats(0.01, 5.0))
+def test_joint_flow_matches_separate_flows(n, seed, span):
+    """trigger_gap, x^T M(t) x and the sampled V and S of
+    simulate_sample_hold, all read off the joint state under diag(F, A_s),
+    agree with exp(F t) and exp(A_s t) taken separately, to 1e-12 of the
+    size of the terms."""
+    rng = np.random.default_rng(seed)
+    sys_, lyap = random_linear_system(rng, n)
+    np.testing.assert_array_equal(lyap.g, scipy.linalg.block_diag(lyap.f, sys_.a_s))
+    x_ell = rng.normal(size=n)
+    p = lyap.p
+    t = span / float(np.linalg.norm(lyap.f, 2))
+    phi, phi_s = separate_flows(sys_, lyap, t)
+    x, xs = phi[:n, :n] @ x_ell, phi_s @ x_ell
+    want = float(x @ p @ x - xs @ p @ xs)
+    tol = 1e-12 * gap_scale(lyap, x_ell, phi, phi_s)
+    assert abs(trigger_gap(sys_, lyap, t, x_ell) - want) <= tol
+    assert abs(float(x_ell @ gap_matrix(lyap, t) @ x_ell) - want) <= tol
+
+    # Each segment restarts both flows at its first state and steps them by
+    # exp(F tau) and exp(A_s tau), tau = segment / samples.
+    samples = 5
+    tr = simulate_sample_hold(sys_, lyap, x_ell, horizon=4.0 * t, samples_per_interval=samples)
+    assert (len(tr.times) - 1) % samples == 0
+    for first in range(0, len(tr.times) - 1, samples):
+        x0 = tr.states[first]
+        tau = (tr.times[first + samples] - tr.times[first]) / samples
+        step, step_s = separate_flows(sys_, lyap, tau)
+        phi, phi_s = np.eye(2 * n), np.eye(n)
+        for j in range(1, samples + 1):
+            phi, phi_s = step @ phi, step_s @ phi_s
+            x, xs = phi[:n, :n] @ x0, phi_s @ x0
+            tol = 1e-12 * gap_scale(lyap, x0, phi, phi_s)
+            assert abs(tr.v_values[first + j] - float(x @ p @ x)) <= tol
+            assert abs(tr.s_values[first + j] - float(xs @ p @ xs)) <= tol
+
+
+def test_sample_hold_takes_one_exponential_per_segment(monkeypatch):
+    """Each segment propagates [x, e, x_s] by one exponential of G. Event
+    scheduling is stubbed, so no other exponential is taken."""
+    from etconsensus import linear_et
+
+    sys_, lyap = random_linear_system(np.random.default_rng(3), 3)
+    monkeypatch.setattr(linear_et, "next_event_time", lambda *args: 0.25)
+    taken = []
+    original = linear_et.matrix_exponential
+
+    def counted(m, t=1.0):
+        taken.append(m)
+        return original(m, t)
+
+    monkeypatch.setattr(linear_et, "matrix_exponential", counted)
+    samples = 4
+    tr = simulate_sample_hold(sys_, lyap, np.ones(3), horizon=1.1,
+                              samples_per_interval=samples, t_max=1.0)
+    segments = (len(tr.times) - 1) // samples
+    assert segments == 5 and len(tr.event_times) == 5
+    assert len(taken) == segments
+    assert all(m is lyap.g for m in taken)

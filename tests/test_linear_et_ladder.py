@@ -24,7 +24,7 @@ from etconsensus import (
     next_event_time,
     trigger_gap,
 )
-from etconsensus.linear_et import GRID_POINTS, ROOT_TOL, _halvings, _joint_generator
+from etconsensus.linear_et import GRID_POINTS, ROOT_TOL, _halvings
 
 EPS = np.finfo(float).eps
 
@@ -44,7 +44,7 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("seed", range(6))
 def test_ladder_levels_match_matrix_exponential(seed):
     sys_, lyap, _ = plant(2 + seed % 5, seed)
-    gen = _joint_generator(lyap)
+    gen = lyap.g
     norm = float(np.linalg.norm(gen, 1))
     # Level 1 of 1-norm about 20, so the first five levels are squared up
     # from finer ones and the rest come straight from the Pade pass.
@@ -87,10 +87,11 @@ def test_repeated_calls_reuse_step_powers_and_ladders(monkeypatch):
     pade.clear()
     min_inter_event_time(sys_, lyap, t_max)
     assert len(expm) == 1 and len(pade) == 1 and not builds
-    # Without a crossing no exponential is made at all.
+    # A fresh grid costs one exponential of G; without a crossing that is
+    # all, and on the same grid again no exponential is made at all.
     expm.clear()
     assert next_event_time(sys_, lyap, x_ell, 0.5 * t_event, 40) is None
-    assert len(expm) == 2
+    assert len(expm) == 1
     expm.clear()
     assert next_event_time(sys_, lyap, x_ell, 0.5 * t_event, 40) is None
     assert not expm
@@ -147,8 +148,7 @@ def test_bisection_extends_a_short_ladder():
     width = 1e-3
     nominal = math.ceil(math.log2(width / ROOT_TOL)) + 1
     state = np.ones(3 * lyap.n)
-    lo, hi = linear_et._bisect(lyap, 0.0, 8 * width, width, state, np.matmul,
-                               lambda z: True)
+    lo, hi = linear_et._bisect(lyap, 0.0, 8 * width, width, state, lambda z: True)
     assert hi - lo <= ROOT_TOL
     assert len(lyap._halvings[width]) > nominal
 

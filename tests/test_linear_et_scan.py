@@ -39,6 +39,16 @@ GRIDS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, GRID_POINTS)
 # smallest singular value of M over ||Phi^T C^T P C Phi|| for det M.
 # ---------------------------------------------------------------------------
 
+def comparison_blocks(sys, lyap):
+    """The comparison dynamics zero-padded to the extended state,
+    f_s = diag(A_s, 0), and C^T P C for the selector C = [I 0]."""
+    n = lyap.n
+    zero = np.zeros((n, n))
+    f_s = np.block([[sys.a_s, zero], [zero, zero]])
+    c = np.hstack([np.eye(n), zero])
+    return f_s, c.T @ lyap.p @ c
+
+
 def negative_start_oracle(sys, lyap, x_ell, upper):
     t = 0.5 * upper
     for _ in range(60):
@@ -54,8 +64,9 @@ def next_event_oracle(sys, lyap, x_ell, t_max, grid_points, path):
     if float(np.linalg.norm(x_ell)) == 0.0:
         return None
     step = t_max / grid_points
+    f_s, _ = comparison_blocks(sys, lyap)
     phi_step = matrix_exponential(lyap.f, step)
-    phi_s_step = matrix_exponential(lyap.f_s, step)
+    phi_s_step = matrix_exponential(f_s, step)
     y = np.concatenate([x_ell, np.zeros(n)])
     v = y.copy()
     s = y.copy()
@@ -89,10 +100,10 @@ def next_event_oracle(sys, lyap, x_ell, t_max, grid_points, path):
 
 def min_inter_event_oracle(sys, lyap, t_max, grid_points, path):
     n = lyap.n
-    cpc = lyap.c.T @ lyap.p @ lyap.c
+    f_s, cpc = comparison_blocks(sys, lyap)
     step = t_max / grid_points
     phi_step = matrix_exponential(lyap.f, step)
-    phi_s_step = matrix_exponential(lyap.f_s, step)
+    phi_s_step = matrix_exponential(f_s, step)
     phi = np.eye(2 * n)
     phi_s = np.eye(2 * n)
 

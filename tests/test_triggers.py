@@ -72,6 +72,18 @@ def test_centralized_validation(p2):
         eval_centralized(0.5, x, x, lap, 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda bad: TimeDependent(c0=bad, c1=1.0, alpha=1.0),
+    lambda bad: TimeDependent(c0=0.1, c1=bad, alpha=1.0),
+    lambda bad: TimeDependent(c0=0.1, c1=1.0, alpha=bad),
+    lambda bad: PeriodicStateDependent(h=bad),
+], ids=["c0", "c1", "alpha", "h"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_law_parameters_must_be_finite(make, bad):
+    with pytest.raises(InvalidParameter, match="finite"):
+        make(bad)
+
+
 # -- decentralized (exact neighbor states) ------------------------------------
 
 def test_decentralized_zero_error_no_fire():
