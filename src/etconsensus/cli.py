@@ -154,11 +154,12 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.output_dir or cfg.output_dir)
     points = sweep_points(cfg)
+    # Resolve every point before simulating any, so a bad one writes nothing.
+    resolved = [apply_overrides(cfg, ov) if ov else (cfg.law, cfg.sim) for ov in points]
     sweep_keys = tuple(key for key, _ in cfg.sweep)
     rows = []
     aborted = False
-    for index, overrides in enumerate(points):
-        law, sim = (cfg.law, cfg.sim) if not overrides else apply_overrides(cfg, overrides)
+    for index, (overrides, (law, sim)) in enumerate(zip(points, resolved)):
         _warn_periodic(law, cfg.graph)
         point_dir = out_dir if len(points) == 1 else out_dir / f"point_{index:03d}"
         try:

@@ -285,6 +285,8 @@ def _parse_sweep_section(parser, law, law_type_keys) -> tuple:
         values = _floats(raw, f"sweep.{key}")
         if not values:
             raise ConfigError(f"sweep.{key}: empty value list")
+        if key == "sim.sample_every" and not all(v == int(v) and v >= 1 for v in values):
+            raise ConfigError(f"sweep.{key}: values must be integers >= 1, got {raw!r}")
         entries.append((key, tuple(values)))
     return tuple(entries)
 
@@ -384,6 +386,9 @@ def load_linear_et_config(path) -> LinearEtConfig:
         m = int(section["m"])
     except ValueError:
         raise ConfigError("linear_et.n / linear_et.m must be integers")
+    for key, value in (("n", n), ("m", m)):
+        if value < 1:
+            raise ConfigError(f"linear_et.{key}: must be >= 1, got {section[key]!r}")
 
     def mat(key: str, rows: int, cols: int) -> np.ndarray:
         values = _floats(section[key], f"linear_et.{key}")

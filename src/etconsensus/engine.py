@@ -14,15 +14,15 @@ functions (the per-agent reference API) would fire. Broadcasts are received
 instantaneously: an event may enable further events at the same instant,
 which are processed in ascending agent-id order so runs are reproducible.
 The ideal continuous controller (no events) is propagated with the exact
-one-step matrix exponential exp(-L dt).
+one-step matrix exponential exp(-L dt). A trace keeps no xhat rows: its event
+log, the only record of broadcasts, fixes them (``Trace.xhats``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -111,18 +111,17 @@ class Trace:
     """Sampled trajectory, event log, and Lyapunov series.
 
     ``lyapunov[k]`` is 0.5 ||x(t_k) - xbar 1||^2 with xbar the mean of the
-    initial state. Inter-event statistics and the Zeno verdict are derived
-    from the event log by ``metrics.inter_event_stats``.
+    initial state. ``xhats``, the inter-event statistics and the Zeno verdict
+    (``metrics.inter_event_stats``) derive from the event log, in time order.
     """
 
     times: np.ndarray
     states: np.ndarray
-    xhats: np.ndarray
     events: tuple
     lyapunov: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("times", "states", "xhats", "lyapunov"):
+        for name in ("times", "states", "lyapunov"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -130,10 +129,41 @@ class Trace:
             raise InvalidParameter("states and times must have equal length")
         if np.any(np.diff(self.times) <= 0.0):
             raise InvalidParameter("sample times must be strictly increasing")
+        if np.any(np.diff([ev.t for ev in self.events]) < 0.0):
+            raise InvalidParameter("event times must be nondecreasing")
 
     @property
     def n(self) -> int:
         return self.states.shape[1]
+
+    @functools.cached_property
+    def xhats(self) -> np.ndarray:
+        """xhat(t_k) on every sample row, read-only, as ``_updates`` sets it:
+        nan before an agent's first event, and the state if there are none."""
+        if not self.events:
+            return self.states
+        out, xhat, row = np.empty_like(self.states), np.full(self.n, np.nan), 0
+        for at, fresh in _updates(self):
+            out[row:at], row = xhat, at
+            xhat[list(fresh)] = list(fresh.values())
+        out[row:] = xhat
+        out.setflags(write=False)
+        return out
+
+
+def _updates(trace: Trace):
+    """Yield (row, {agent: latest value}) for every sample row events reach, in
+    order: an event shows from the first row at or after its time on."""
+    rows = np.searchsorted(trace.times, [ev.t for ev in trace.events]).tolist() + [-1]
+    fresh = {}
+    for k, ev in enumerate(trace.events):
+        if ev.agent == ALL_AGENTS:
+            fresh.update(enumerate(np.asarray(ev.value).tolist()))
+        else:
+            fresh[ev.agent] = ev.value
+        if rows[k + 1] != rows[k] < len(trace.times):
+            yield rows[k], fresh
+            fresh = {}
 
 
 def _check_x0(g: WeightedDigraph, x0) -> np.ndarray:
@@ -201,7 +231,6 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     return Trace(
         times=times,
         states=states,
-        xhats=states.copy(),
         events=(),
         lyapunov=_lyapunov(states, float(x0.mean())),
     )
@@ -561,7 +590,6 @@ def simulate_triggered(
     velocity = rule.velocity(xhat)
 
     states = np.empty((len(times), n))
-    xhats = np.empty((len(times), n))
     row = 0
     window, window_count = 0, np.zeros(n, dtype=int)
 
@@ -602,7 +630,6 @@ def simulate_triggered(
         stop = int(np.searchsorted(times, t_next))
         if stop > row:
             states[row:stop] = x + (times[row:stop] - t)[:, None] * velocity
-            xhats[row:stop] = xhat
             row = stop
         if t_next > t_end:
             break
@@ -614,7 +641,6 @@ def simulate_triggered(
     return Trace(
         times=times,
         states=states,
-        xhats=xhats,
         events=tuple(events),
         lyapunov=_lyapunov(states, float(x0.mean())),
     )
@@ -646,11 +672,9 @@ def convergence_radius_time_trigger(g: WeightedDigraph, c0: float) -> float:
 # CSV export
 # ---------------------------------------------------------------------------
 
-#: Trace rows are rendered in blocks of whole rows (at least one) holding about
-#: this many values: converting the whole table at once would hold every value
-#: as a Python float. The xhat strings cached across rows carry over from one
-#: block to the next.
-_CSV_BLOCK = 4096
+#: Trace rows are rendered in blocks of whole rows (at least one) of about this
+#: many values, so that only one block at a time is held as Python floats.
+_CSV_BLOCK = 2048
 
 
 def _fmt(v: float) -> str:
@@ -660,53 +684,28 @@ def _fmt(v: float) -> str:
 def trace_to_csv(trace: Trace) -> str:
     """Render the sampled trajectory as CSV: t, x_0.., xhat_0.., V.
 
-    Every value is written as ``repr(float)``. An xhat entry is frozen between
-    its agent's broadcasts, so it is rendered only on rows where its bit
-    pattern differs from the row before (bits, not ``==``: -0.0 and 0.0 print
-    differently); the other rows reuse the cached per-agent strings and their
-    joined segment. A block in which most xhat entries change is rendered
-    whole, every value on its own.
+    Every value is written as ``repr(float)``. The xhat columns (``Trace.xhats``)
+    come from the event log: a row that events reach renders the latest value of
+    each agent they name, other rows reuse the row before's, an ideal run its x.
     """
     n = trace.n
-    cols = (
-        ["t"]
-        + [f"x_{i}" for i in range(n)]
-        + [f"xhat_{i}" for i in range(n)]
-        + ["V"]
-    )
-    times, states, xhats, lyap = trace.times, trace.states, trace.xhats, trace.lyapunov
-    bits = xhats.view(np.int64)
-    rows = max(1, _CSV_BLOCK // (2 * n + 2))
-    lines = [",".join(cols)]
-    strs = seg = None  # xhat strings and segment of the row before the block
+    times, states, lyap = trace.times, trace.states, trace.lyapunov
+    ideal, updates = not trace.events, dict(_updates(trace))
+    seg = ",".join(strs := ["nan"] * n)
+    rows = max(1, _CSV_BLOCK // (n + 2))
+    lines = [",".join(["t", *(f"x_{i}" for i in range(n)), *(f"xhat_{i}" for i in range(n)), "V"])]
     for start in range(0, len(times), rows):
         block = slice(start, start + rows)
-        block_bits = bits[block]
-        changed = np.empty(block_bits.shape, dtype=bool)
-        changed[0] = block_bits[0] != bits[start - 1] if start else True
-        np.not_equal(block_bits[1:], block_bits[:-1], out=changed[1:])
-        # Once about 0.6 to 0.8 of a block's xhat entries change (depending
-        # on n), the cache costs more than it saves; at one half it is still
-        # the faster path for every n timed.
-        if 2 * np.count_nonzero(changed) > changed.size:
-            table = np.column_stack((times[block], states[block], xhats[block], lyap[block]))
-            lines.extend(",".join(map(repr, row)) for row in table.tolist())
-            strs = None
-            continue
-        if strs is None:  # first block, or the block before was rendered whole
-            strs = list(map(repr, xhats[start - 1].tolist())) if start else [""] * n
-            seg = ",".join(strs)
-        at, agent = np.nonzero(changed)
-        entries = zip(at.tolist(), agent.tolist(), map(repr, xhats[block][at, agent].tolist()))
-        segs = {}
-        for r, group in groupby(entries, key=itemgetter(0)):
-            for _, c, s in group:
-                strs[c] = s
-            segs[r] = ",".join(strs)
         front = np.column_stack((times[block], states[block])).tolist()
-        for r, (row, v) in enumerate(zip(front, lyap[block].tolist())):
-            seg = segs.get(r, seg)
-            lines.append(f"{','.join(map(repr, row))},{seg},{v!r}")
+        for r, (row, v) in enumerate(zip(front, lyap[block].tolist()), start):
+            text = ",".join(map(repr, row))
+            if ideal:
+                seg = text.partition(",")[2]
+            elif r in updates:
+                for i, value in updates[r].items():
+                    strs[i] = _fmt(value)
+                seg = ",".join(strs)
+            lines.append(f"{text},{seg},{v!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -147,6 +147,27 @@ def test_run_sweep_outputs(tmp_path):
     assert (tmp_path / "out" / "point_002" / "trace.csv").exists()
 
 
+def test_sweep_validates_every_point_before_running_any(tmp_path, capsys):
+    """An invalid last point exits 2, naming it, before the valid points
+    before it are simulated or written."""
+    cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5",
+                      extra="\n[sweep]\nlaw.sigma = 0.2, 0.5, 1.5\n")
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    assert "sweep point {'law.sigma': 1.5}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["1, 2.5", "1, 0"])
+def test_sweep_rejects_sample_every_below_one_or_fractional(tmp_path, capsys, values):
+    """A fractional stride was once truncated by the run but written to
+    metrics.csv as given; a stride below 1 failed only after earlier points."""
+    cfg = make_config(tmp_path, "type = state_dependent",
+                      extra=f"\n[sweep]\nsim.sample_every = {values}\n")
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    assert "sweep.sim.sample_every" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_computes_spectral_info_once(tmp_path, monkeypatch):
     """One eigendecomposition and one ||L||_2 for the graph of a 3-point
     sweep, bound checks included."""
@@ -269,6 +290,26 @@ def test_linear_et_rejects_bad_numbers(tmp_path, capsys, key, value):
     cfg.write_text("\n".join(lines) + "\n")
     assert main(["linear-et", str(cfg)]) == 2
     assert f"linear_et.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "let").exists()
+
+
+@pytest.mark.parametrize("key, value, emptied", [
+    ("n", "0", ("a", "b", "k", "q", "r", "x0")),
+    ("n", "-1", ()),
+    ("m", "0", ("b", "k")),
+])
+def test_linear_et_rejects_dimensions_below_one(tmp_path, capsys, key, value, emptied):
+    """n and m must be >= 1, with matrices of the matching (empty) shapes
+    too: n = 0 once failed in a numpy reduction and m = 0 in the scan."""
+    cfg = make_linear_config(tmp_path)
+    lines = []
+    for line in cfg.read_text().splitlines():
+        name = line.split(" =")[0]
+        lines.append(f"{name} = {value}" if name == key else f"{name} =" if name in emptied
+                     else line)
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["linear-et", str(cfg)]) == 2
+    assert f"linear_et.{key}: must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "let").exists()
 
 

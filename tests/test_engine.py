@@ -8,6 +8,7 @@ from etconsensus import (
     CentralizedNorm,
     DecentralizedState,
     DirectedStateDependent,
+    EventRecord,
     InvalidParameter,
     NotBalanced,
     NotConnected,
@@ -302,15 +303,34 @@ def parent_trace_to_csv(trace):
     return "\n".join(lines) + "\n"
 
 
+def table_events(times, xhats):
+    """The event log that sets an xhat table: every agent broadcasts on row 0,
+    then one event wherever an entry's bit pattern differs from the row above
+    (bits, not ``==``: -0.0 and 0.0 print differently)."""
+    bits = xhats.view(np.int64)
+    fresh = np.ones(xhats.shape, dtype=bool)
+    fresh[1:] = bits[1:] != bits[:-1]
+    rows, agents = np.nonzero(fresh)
+    return tuple(EventRecord(t=float(times[r]), agent=i, value=float(xhats[r, i]))
+                 for r, i in zip(rows.tolist(), agents.tolist()))
+
+
 def synthetic_trace(xhats, states=None, seed=0):
-    """A trace with the given xhat table (and states) and random other columns."""
-    xhats = np.asarray(xhats, dtype=float)
+    """A trace whose event log sets the given xhat table, with the given states
+    and random other columns; ``xhats=None`` is an ideal run (no events)."""
+    table = np.asarray(states if xhats is None else xhats, dtype=float)
     rng = np.random.default_rng(seed)
-    rows = len(xhats)
+    rows = len(table)
     if states is None:
-        states = rng.standard_normal(xhats.shape)
-    return Trace(times=np.arange(rows) * 0.25, states=states,
-                 xhats=xhats, events=(), lyapunov=rng.random(rows))
+        states = rng.standard_normal(table.shape)
+    times = np.arange(rows) * 0.25
+    events = () if xhats is None else table_events(times, table)
+    return Trace(times=times, states=states, events=events, lyapunov=rng.random(rows))
+
+
+def assert_same_bits(got, want, label=""):
+    assert got.shape == want.shape and np.array_equal(
+        got.view(np.int64), want.view(np.int64)), label
 
 
 def held_rows(n, rows, changes, seed=0):
@@ -329,7 +349,7 @@ def held_rows(n, rows, changes, seed=0):
 
 def block_rows(n):
     """Rows per render block of an n-agent trace."""
-    return max(1, _CSV_BLOCK // (2 * n + 2))
+    return max(1, _CSV_BLOCK // (n + 2))
 
 
 def test_trace_csv_matches_per_element_formatter(p2, k3):
@@ -339,7 +359,8 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
     states = np.resize(np.array(specials), (rows, 3))
     xhats = np.resize(np.array(specials[::-1]), (rows, 3))
     lyap = np.resize(np.array(specials[2:]), rows)
-    tr = Trace(times=times, states=states, xhats=xhats, events=(), lyapunov=lyap)
+    tr = Trace(times=times, states=states, events=table_events(times, xhats), lyapunov=lyap)
+    assert_same_bits(tr.xhats, xhats)
     assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr))
     run = simulate_triggered(p2, CentralizedNorm(sigma=0.5), [1.0, -1.0],
                              sim_config(p2, horizon=3.0, sample_every=7))
@@ -382,20 +403,27 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
     signed_xhat[b + 2, 1] = -0.0
     for name, table in cases.items():
         tr = synthetic_trace(table)
+        assert_same_bits(tr.xhats, table, name)
         assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr), name)
     for name, xhat, state in (
-        ("xhat is the state", dense, dense),
+        ("xhat is the state", None, dense),
         ("xhat is the state but for a signed zero", signed_xhat, signed_state),
     ):
         tr = synthetic_trace(xhat, state)
+        assert_same_bits(tr.xhats, state if xhat is None else xhat, name)
         assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr), name)
 
 
-def balanced_run(n, seed, **kwargs):
+def directed_setup(n, seed, **kwargs):
+    """(graph, law, x0, sim config) of a directed run on a balanced digraph."""
     g = random_balanced_digraph(n, np.random.default_rng(seed), extra_cycles=2)
     x0 = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, n)
-    return simulate_triggered(g, DirectedStateDependent(sigma_i=0.5), x0,
-                              sim_config(g, horizon=1.0, dt=1e-3, **kwargs))
+    return (g, DirectedStateDependent(sigma_i=0.5), x0,
+            sim_config(g, horizon=1.0, dt=1e-3, **kwargs))
+
+
+def balanced_run(n, seed, **kwargs):
+    return simulate_triggered(*directed_setup(n, seed, **kwargs))
 
 
 @pytest.mark.parametrize("make", [
@@ -413,6 +441,38 @@ def test_trace_csv_matches_per_element_formatter_on_runs(make, k3):
     tr = make(k3)
     assert len(tr.times) > block_rows(tr.n)
     assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr))
+
+
+@pytest.mark.parametrize("setup", [
+    pytest.param(lambda p2, k3: directed_setup(10, 3), id="directed"),
+    pytest.param(lambda p2, k3: (k3, CentralizedNorm(sigma=0.5), [0.3, -0.9, 0.5],
+                                 sim_config(k3, horizon=5.0)), id="centralized-all"),
+    pytest.param(lambda p2, k3: (p2, TimeDependent(c0=0.05, c1=0.5, alpha=1.0), [1.0, -1.0],
+                                 sim_config(p2, horizon=10.0, sample_every=3)),
+                 id="time-dependent"),
+])
+def test_xhats_drive_the_state_between_events(setup, p2, k3):
+    """Over a sample interval (t_r, t_r+1] that no event falls in, the state
+    moves by -(t_r+1 - t_r) L xhat, with the xhat of either row: an event
+    shows from the first row at or after its time on, no earlier or later."""
+    g, law, x0, cfg = setup(p2, k3)
+    tr = simulate_triggered(g, law, x0, cfg)
+    reached = np.zeros(len(tr.times) + 1, dtype=bool)
+    reached[np.searchsorted(tr.times, [ev.t for ev in tr.events])] = True
+    quiet = ~reached[1:-1]
+    assert quiet.any() and not quiet.all()
+    moved = np.diff(tr.states, axis=0)[quiet]
+    step = np.diff(tr.times)[quiet, None]
+    tol = 1e-13 * max(1.0, float(np.abs(tr.states).max()))
+    for xhats in (tr.xhats[:-1], tr.xhats[1:]):
+        drift = -step * (xhats[quiet] @ laplacian(g).T)
+        assert np.abs(moved - drift).max() <= tol
+
+
+def test_trace_rejects_decreasing_event_log():
+    events = (EventRecord(t=0.5, agent=0, value=1.0), EventRecord(t=0.25, agent=1, value=2.0))
+    with pytest.raises(InvalidParameter, match="event times"):
+        Trace(times=[0.0, 0.5], states=np.zeros((2, 2)), events=events, lyapunov=[0.0, 0.0])
 
 
 def test_csv_export_shapes(p2):
