@@ -1,25 +1,25 @@
 """Closed-loop simulation of xdot = -L xhat with sample-and-hold broadcasts.
 
-Between events the broadcast vector xhat is frozen, so the state moves along
-a straight line x(t) = x(t0) + (t - t0) v with v = -L xhat. Each law
-therefore has a next-event kernel: from the anchor (t, x, xhat, v) of the
-last broadcast it returns every agent's delay to its next firing time in
-closed form (linear or quadratic in the delay) or as one bracketed scalar
-root, refined to the first instant at which the law's array predicate holds.
-The simulation is an event loop: it jumps to the earliest of those instants,
-fires, and re-anchors, so its cost grows with the number of broadcasts, not
-with ``horizon / dt``; ``dt`` is only the spacing of the sampled trace. The
-array predicates fire, bit for bit, the agents the scalar ``triggers.eval_*``
-functions (the per-agent reference API) would fire. Broadcasts are received
-instantaneously: an event may enable further events at the same instant,
-which are processed in ascending agent-id order so runs are reproducible.
-The ideal continuous controller (no events) is propagated with the exact
-one-step matrix exponential exp(-L dt). A trace keeps no xhat rows: its event
-log, the only record of broadcasts, fixes them (``Trace.xhats``).
+Between its broadcasts an agent moves along a straight line: each keeps an
+anchor (t_i, x_i, v_i), is at x_i + (t - t_i) v_i, and has v_i = -(L xhat)_i.
+Each law has a scalar next-event kernel: from an agent's anchor it gives the
+delay to its next firing time in closed form (linear or quadratic in the
+delay) or as one bracketed scalar root, refined to the first instant at
+which the agent's predicate holds. The event loop fires the earliest agent;
+a broadcast by k changes only its affected set (k and its in-neighbours;
+two hops for the decentralized law; all agents for the centralized one),
+which alone is re-anchored and re-solved: O(degree) work per broadcast, and
+none per ``dt``, only the spacing of the sampled trace. The predicates fire,
+bit for bit, the agents the scalar ``triggers.eval_*`` functions would fire.
+Broadcasts are received instantaneously: an event may enable further events
+at the same instant, processed in ascending agent id. The ideal controller
+(no events) is propagated with the exact matrix exponential exp(-L dt). A
+trace keeps no xhat rows: its event log fixes them (``Trace.xhats``).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -237,11 +237,8 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Firing rules and next-event kernels: one array form per law
+# Firing rules and next-event kernels: scalar forms per agent
 # ---------------------------------------------------------------------------
-
-_NONE = np.zeros(0, dtype=int)
-_ALL = np.array([ALL_AGENTS])
 
 #: Kernel refinement: a delay is settled once the predicate holds at it and
 #: fails _ULPS ulps of state motion plus a relative _NEAR earlier, or a
@@ -258,280 +255,257 @@ _NEVER = 1e150
 _NEWTON_STEPS = 100
 
 
+class _Anchors(NamedTuple):
+    """Per-agent floats: agent i is at x[i] + (s - t[i]) v[i] at time s, last
+    broadcast xhat[i], and has cached threshold thr[i] (0 for some laws)."""
+
+    t: list
+    x: list
+    v: list
+    xhat: list
+    thr: list
+
+
 class _Rule(NamedTuple):
-    """Array forms of one law on one graph (see ``_law_rule``)."""
+    """Scalar forms of one law on one graph (see ``_law_rule``)."""
 
-    fired: Callable
+    members: list
+    affected: list
+    moved: list
+    reads: list
     refresh: Callable
-    velocity: Callable
-    delays: Optional[Callable]
+    holds: Callable
+    delay: Callable
 
 
-def _ulp_time(x: np.ndarray, xhat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Delay over which each error xhat_i - x_i - s v_i moves by one ulp of
-    |x_i| + |xhat_i|, the scale of its rounding (0 where v_i = 0)."""
-    out = np.zeros(len(x))
-    np.divide(np.spacing(np.abs(x) + np.abs(xhat)), np.abs(v), out=out, where=v != 0.0)
-    return out
+def _ulp_time(x: float, xhat: float, v: float) -> float:
+    """Delay over which the error xhat - x - s v moves by one ulp of
+    |x| + |xhat|, the scale of its rounding (0 where v = 0)."""
+    return math.ulp(abs(x) + abs(xhat)) / abs(v) if v else 0.0
 
 
-def _first_instant(holds: Callable, s: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Refine estimated firing delays ``s`` to the first instants at which
-    ``holds`` fires.
+def _first_instant(holds: Callable, s: float, res: float) -> float:
+    """Refine an estimated firing delay ``s`` to the first instant at which
+    ``holds(d)``, the predicate at delay d (false at d = 0), fires.
 
-    ``holds(d)`` evaluates every agent's predicate at its own delay, the
-    last axis of ``d`` running over agents, and is false at d = 0 (the
-    anchor is a cascade fixpoint). ``res`` is the delay over which each
-    agent's state moves by one ulp, the scale on which rounding moves the
-    instant the predicate turns. Negative estimates are clamped to 0, so
-    time never steps back. Probes _ULPS ``res`` plus a relative _NEAR below
-    and above each estimate settle an accurate one. Otherwise a walk goes up
-    while the predicate fails, or down while it holds, with steps growing by
-    _GROW, and the bracket it leaves between a failing ``lo`` and a holding
-    ``hi`` is bisected to that first step or a relative _REL, whichever is
-    larger. Infinite delays (and estimates past _NEVER) mean "never".
+    ``res`` is the delay over which the state moves by one ulp, the scale on
+    which rounding moves that instant. A negative estimate is clamped to 0,
+    so time never steps back. Probes _ULPS ``res`` plus a relative _NEAR
+    below and above the estimate settle an accurate one. Otherwise a walk
+    goes up while the predicate fails, or down while it holds, with steps
+    growing by _GROW, and the bracket it leaves between a failing ``lo`` and
+    a holding ``hi`` is bisected to that first step or a relative _REL,
+    whichever is larger. An infinite delay (or one past _NEVER) is "never".
     """
-    hi = np.maximum(s, 0.0)
-    live = hi < _NEVER
-
-    def at(d):
-        return holds(np.where(live, d, 0.0)) & live
-
-    if live.all():
-        step = hi * _NEAR + _ULPS * res + _TINY
-        below = np.maximum(hi - step, 0.0)
-        before, fires, after = holds(np.stack((below, hi, hi + step)))
+    if not s < _NEVER:
+        return math.inf
+    hi = s if s > 0.0 else 0.0
+    step = hi * _NEAR + _ULPS * res + _TINY
+    below = hi - step if hi > step else 0.0
+    fires = holds(hi)
+    if fires and not holds(below):
+        return hi
+    if not fires and holds(hi + step):
+        return hi + step
+    tol = max(step, _REL * hi)
+    if fires:
+        lo, hi = 0.0, below
+        while hi > 0.0:
+            step *= _GROW
+            probe = max(hi - step, 0.0)
+            if not holds(probe):
+                lo = probe
+                break
+            hi = probe
     else:
-        hi[~live] = np.inf
-        step = np.where(live, hi * _NEAR + _ULPS * res + _TINY, 0.0)
-        below = np.maximum(hi - step, 0.0)
-        before, fires, after = at(np.stack((below, hi, hi + step)))
-    if np.where(fires, ~before, after | ~live).all():
-        return np.where(fires, hi, hi + step)
-    tol = np.maximum(step, _REL * hi)
-
-    down = fires & before
-    up = live & ~fires & ~after
-    lo = np.where(fires, np.where(before, 0.0, below), np.where(live & after, hi, hi + step))
-    hi = np.where(down, below, np.where(fires | ~live, hi, hi + step))
-    lo[~live] = 0.0
-    while up.any() or down.any():
-        step = step * _GROW
-        probe = np.maximum(np.where(up, hi + step, hi - step), 0.0)
-        fires = at(probe)
-        walk = up | down
-        hi = np.where(up | (down & fires), probe, hi)
-        lo = np.where(walk & ~fires, probe, lo)
-        up &= ~fires
-        down &= fires
-        gone = up & (hi >= _NEVER)
-        hi[gone], step[gone] = np.inf, 0.0
-        live &= ~gone
-        up &= ~gone
-
-    wide = live & (hi - lo > tol)
-    while wide.any():
-        mid = 0.5 * (lo + hi)
-        wide &= (lo < mid) & (mid < hi)
-        fires = at(mid)
-        hi = np.where(wide & fires, mid, hi)
-        lo = np.where(wide & ~fires, mid, lo)
-        wide &= hi - lo > tol
+        lo = hi = hi + step
+        while True:
+            step *= _GROW
+            hi += step
+            if holds(hi):
+                break
+            lo = hi
+            if hi >= _NEVER:
+                return math.inf
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
     return hi
 
 
-def _first_root(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Smallest s >= 0 with a s^2 + b s + c >= 0 (inf if none), elementwise.
-
-    Written for c <= 0 (the predicate fails at s = 0); c > 0 gives 0. Uses
-    the cancellation-free root forms.
-    """
+def _first_root(a: float, b: float, c: float) -> float:
+    """Smallest s >= 0 with a s^2 + b s + c >= 0 (inf if none), by the
+    cancellation-free root forms; written for c <= 0, c > 0 gives 0."""
+    if c > 0.0:
+        return 0.0
     disc = b * b - 4.0 * a * c
-    real = disc >= 0.0
-    sq = np.sqrt(np.where(real, disc, 0.0))
-    root = np.full(a.shape, np.inf)
-    rising = real & (b > 0.0)
-    np.divide(2.0 * c, -b - sq, out=root, where=rising)
-    upward = real & (b <= 0.0) & (a > 0.0)
-    np.divide(-b + sq, 2.0 * a, out=root, where=upward)
-    root[c > 0.0] = 0.0
-    return np.maximum(root, 0.0)
+    if disc >= 0.0 and b > 0.0:
+        return max(2.0 * c / (-b - math.sqrt(disc)), 0.0)
+    if disc >= 0.0 and a > 0.0:
+        return max((-b + math.sqrt(disc)) / (2.0 * a), 0.0)
+    return math.inf
 
 
-def _law_rule(g: WeightedDigraph, law: TriggerLaw, lap: np.ndarray, norm_l: float) -> _Rule:
-    """Array forms of ``law`` on ``g``.
+def _law_rule(g: WeightedDigraph, law: TriggerLaw, norm_l: float) -> _Rule:
+    """Scalar forms of ``law`` on ``g`` per unit: an agent, or the network
+    (unit 0) for the centralized law, which broadcasts for ``members[u]``.
 
-    ``fired(t, x, xhat)`` is the ascending array of agents whose predicate
-    holds (``[ALL_AGENTS]`` for the centralized law). ``refresh(xhat)``
-    recomputes and returns the cached thresholds of the state-dependent
-    family, which depend only on broadcast values; it returns None for the
-    other laws. ``velocity(xhat)`` is v = -L xhat in difference form,
-    v_i = -sum_j w_ij (xhat_i - xhat_j), so an agent whose neighbourhood
-    agrees with it moves by exactly zero. ``delays(t, x, xhat, v)`` is the
-    next-event kernel: each agent's delay s to the first instant at which its
-    predicate holds on x + s v at time t + s (one entry for the centralized
-    law; inf for never), for an anchor at which no predicate holds. It is
-    None for the periodic law, whose decision instants are grid points.
-
-    Neighbour sums run over a padded (slot, agent) table in ascending
-    neighbour order, one slot at a time, so every threshold is the same
-    float as the scalar evaluator's in ``triggers``. Padding slots point at
-    the agent itself with weight 0 and so add exactly zero.
+    A broadcast of u changes the velocity and threshold of the agents in
+    ``moved[u]`` (u and its in-neighbours, i with w_iu > 0) and the firing
+    time of ``affected[u]`` (theirs too for the decentralized law, whose z_i
+    reads true neighbour states); ``reads[u]``, whose predicate reads it and
+    may hold at once, are the in-neighbours for the state-dependent family.
+    ``refresh(i, xhat)`` is (v_i, thr_i), v_i = -sum_j w_ij (xhat_i - xhat_j)
+    in difference form (exactly 0 where the neighbourhood agrees).
+    ``holds(u, t, x, a)`` is u's predicate at time t with its own state x
+    (the network: all states), other agents read from anchors ``a``;
+    ``delay(u, a)``, the next-event kernel, is the delay from u's anchor, at
+    which it does not hold, to the first instant at which it does (inf for
+    never). Neighbour sums run in ascending neighbour order, so every
+    threshold and predicate is the scalar evaluator's float in ``triggers``.
     """
     n, w = g.n, g.weights
-    nbrs = [np.flatnonzero(w[i] > 0.0) for i in range(n)]
-    card = np.array([len(js) for js in nbrs])
-    idx = np.repeat(np.arange(n)[None, :], card.max(), axis=0)
-    wts = np.zeros(idx.shape)
-    for i, js in enumerate(nbrs):
-        idx[: len(js), i] = js
-        wts[: len(js), i] = w[i, js]
 
-    def slot_sum(terms: np.ndarray) -> np.ndarray:
-        return np.add.accumulate(terms, axis=-2)[..., -1, :]
+    def table(keys, values):  # values grouped by their key, 0..n-1, in order
+        ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+        return [values[a:b] for a, b in zip([0] + ends, ends)]
 
-    def velocity(xhat):
-        return -slot_sum(wts * (xhat - xhat[idx]))
+    rows, cols = np.nonzero(w > 0.0)
+    nbrs, wts = table(rows, cols.tolist()), table(rows, w[rows, cols].tolist())
+    order = np.argsort(cols, kind="stable")
+    inn = table(cols[order], rows[order].tolist())
+    singles = [(i,) for i in range(n)]
 
-    def no_refresh(xhat):
-        return None
+    def refresh_velocity(i, xhat):
+        xi, total = xhat[i], 0.0
+        for j, wij in zip(nbrs[i], wts[i]):
+            total += wij * (xi - xhat[j])
+        return -total, 0.0
 
     if isinstance(law, CentralizedNorm):
-        beta2 = (law.sigma / norm_l) ** 2
+        lap, beta2 = laplacian(g), (law.sigma / norm_l) ** 2
 
-        def fired(t, x, xhat):
-            err = float(np.linalg.norm(xhat - x))
-            bound = law.sigma * float(np.linalg.norm(lap @ x)) / norm_l
-            return _ALL if err != 0.0 and err >= bound else _NONE
+        def holds(u, t, x, a):
+            x = np.asarray(x)
+            err = float(np.linalg.norm(np.asarray(a.xhat) - x))
+            return err != 0.0 and err >= law.sigma * float(np.linalg.norm(lap @ x)) / norm_l
 
-        def delays(t, x, xhat, v):
+        def delay(u, a):
             # ||e - s v||^2 >= beta^2 ||L x + s L v||^2 is one quadratic in s.
+            t, x, v, xhat = a.t[0], np.array(a.x), np.array(a.v), np.array(a.xhat)
             e, lx, lv = xhat - x, lap @ x, lap @ v
-            a = v @ v - beta2 * (lv @ lv)
-            b = -2.0 * (e @ v) - 2.0 * beta2 * (lx @ lv)
-            c = e @ e - beta2 * (lx @ lx)
-            s = _first_root(np.array([a]), np.array([b]), np.array([c]))
-            scale = np.abs(x) + np.abs(xhat)
-            res = _ulp_time(scale.max(keepdims=True), 0.0, np.abs(v).max(keepdims=True))
+            s = _first_root(float(v @ v - beta2 * (lv @ lv)),
+                            float(-2.0 * (e @ v) - 2.0 * beta2 * (lx @ lv)),
+                            float(e @ e - beta2 * (lx @ lx)))
+            held = a._replace(xhat=xhat)  # converted once for every probe
+            return _first_instant(lambda d: holds(u, t + d, x + d * v, held), s, _ulp_time(
+                float((np.abs(x) + np.abs(xhat)).max()), 0.0, float(np.abs(v).max())))
+        return _Rule([tuple(range(n))], [[0]], [range(n)], [[]], refresh_velocity, holds, delay)
 
-            def holds(d):
-                return np.array([fired(t + u, x + u * v, xhat).size > 0
-                                 for u in d.ravel()]).reshape(d.shape)
-            return _first_instant(holds, s, res)
-        return _Rule(fired, no_refresh, velocity, delays)
-
+    affected, alone = [sorted({k, *inn[k]}) for k in range(n)], [[]] * n
     if isinstance(law, TimeDependent):
         c0, c1, alpha = law.c0, law.c1, law.alpha
 
-        def bounds(times):
-            return np.array([c0 + c1 * math.exp(-alpha * u)
-                             for u in times.ravel()]).reshape(times.shape)
+        def holds(i, t, xi, a):
+            e = a.xhat[i] - xi
+            return e != 0.0 and abs(e) >= c0 + c1 * math.exp(-alpha * t)
 
-        def fired(t, x, xhat):
-            e = xhat - x
-            bound = c0 + c1 * math.exp(-alpha * t)
-            return np.flatnonzero((e != 0.0) & (np.abs(e) >= bound))
-
-        def delays(t, x, xhat, v):
+        def delay(i, a):
             # f(s) = |e - s v| - c0 - c1 exp(-alpha (t + s)) is concave on each
             # side of s0, where the V-shaped error touches zero. Before s0 the
             # error shrinks and f rises only up to its peak; after s0 f rises.
             # Newton from the left end of a rising stretch never overshoots.
-            e = xhat - x
-            ae, av = np.abs(e), np.abs(v)
-            shrinking = e * v > 0.0
-            s0 = np.zeros(n)
-            np.divide(e, v, out=s0, where=shrinking)
-            ratio = np.ones(n)
-            np.divide(alpha * c1, av, out=ratio, where=shrinking & (c1 > 0.0))
-            peak = np.clip(np.log(ratio) / alpha - t, 0.0, s0)
-            early = shrinking & (ae - av * peak - c0 - c1 * np.exp(-alpha * (t + peak)) >= 0.0)
-            start = np.where(early, 0.0, s0)
-            side = np.where(early, -1.0, 1.0)
-            s = np.where(v != 0.0, start, np.inf)
-            # A constant error meets the decaying threshold in closed form.
-            still = (v == 0.0) & (ae > c0) & (c1 > 0.0)
-            s[still] = np.log(c1 / (ae[still] - c0)) / alpha - t
-            active = v != 0.0
-            for _ in range(_NEWTON_STEPS):
-                if not active.any():
-                    break
-                decay = c1 * np.exp(-alpha * (t + s[active]))
-                f = np.abs(e[active] - s[active] * v[active]) - c0 - decay
-                df = side[active] * av[active] + alpha * decay
-                step = -f / df
-                s[active] += np.maximum(step, 0.0)
-                active[active] = step > 2.0 ** -50 * s[active]
-
-            def holds(d):
-                ex = xhat - (x + d * v)
-                return (ex != 0.0) & (np.abs(ex) >= bounds(t + d))
-            return _first_instant(holds, s, _ulp_time(x, xhat, v))
-        return _Rule(fired, no_refresh, velocity, delays)
+            t, xi, vi, xh = a.t[i], a.x[i], a.v[i], a.xhat[i]
+            e = xh - xi
+            ae, av = abs(e), abs(vi)
+            if vi == 0.0:
+                # A constant error meets the decaying threshold in closed form.
+                s = math.log(c1 / (ae - c0)) / alpha - t if ae > c0 and c1 > 0.0 else math.inf
+            else:
+                s, side = 0.0, 1.0
+                if e * vi > 0.0:
+                    s0 = e / vi
+                    peak = min(max(math.log(alpha * c1 / av) / alpha - t if c1 > 0.0 else -t,
+                                   0.0), s0)
+                    early = ae - av * peak - c0 - c1 * math.exp(-alpha * (t + peak)) >= 0.0
+                    s, side = (0.0, -1.0) if early else (s0, 1.0)
+                for _ in range(_NEWTON_STEPS):
+                    decay = c1 * math.exp(-alpha * (t + s))
+                    f = abs(e - s * vi) - c0 - decay
+                    df = side * av + alpha * decay
+                    step = -f / df if df else (math.inf if f < 0.0 else 0.0)
+                    s += max(step, 0.0)
+                    if not step > 2.0 ** -50 * s:
+                        break
+            return _first_instant(lambda d: holds(i, t + d, xi + d * vi, a), s,
+                                  _ulp_time(xi, xh, vi))
+        return _Rule(singles, affected, affected, alone, refresh_velocity, holds, delay)
 
     sigma = per_agent_sigmas(law.sigma_i, n)
     if isinstance(law, DecentralizedState):
-        coef = sigma * law.a * (1.0 - law.a * card) / card
+        card = np.array([len(js) for js in nbrs])
+        coef = (sigma * law.a * (1.0 - law.a * card) / card).tolist()
 
-        def crossed(e, z):
-            return (e != 0.0) & (e * e >= coef * z * z)
+        def holds(i, t, xi, a):
+            at_t, at_x, at_v, z = a.t, a.x, a.v, 0.0
+            for j in nbrs[i]:
+                z += xi - (at_x[j] + (t - at_t[j]) * at_v[j])
+            e = a.xhat[i] - xi
+            return e != 0.0 and e * e >= coef[i] * z * z
 
-        def fired(t, x, xhat):
-            return np.flatnonzero(crossed(xhat - x, slot_sum(x - x[idx])))
+        def delay(i, a):
+            # (e - s v)^2 >= coef (z + s u)^2 is one quadratic in s.
+            at_t, at_x, at_v = a.t, a.x, a.v
+            t, xi, vi, xh = at_t[i], at_x[i], at_v[i], a.xhat[i]
+            near = [(at_x[j] + (t - at_t[j]) * at_v[j], at_v[j]) for j in nbrs[i]]
+            z = u = 0.0
+            for xj, vj in near:
+                z += xi - xj
+                u += vi - vj
+            e, k = xh - xi, coef[i]
+            s = _first_root(vi * vi - k * u * u, -2.0 * (e * vi + k * z * u), e * e - k * z * z)
 
-        def delays(t, x, xhat, v):
-            # (e - s v)^2 >= coef (z + s u)^2 is one quadratic per agent.
-            e, x_nb, v_nb = xhat - x, x[idx], v[idx]
-            z = slot_sum(x - x_nb)
-            u = slot_sum(v - v_nb)
-            a = v * v - coef * u * u
-            b = -2.0 * (e * v + coef * z * u)
-            c = e * e - coef * z * z
+            def at(d):  # holds(i, t + d, xi + d * vi, a), inlined
+                own, z = xi + d * vi, 0.0
+                for xj, vj in near:
+                    z += own - (xj + d * vj)
+                e = xh - own
+                return e != 0.0 and e * e >= k * z * z
+            return _first_instant(at, s, _ulp_time(xi, xh, vi))
+        two_hops = [sorted({*affected[k], *(h for i in inn[k] for h in inn[i])}) for k in range(n)]
+        return _Rule(singles, two_hops, affected, alone, refresh_velocity, holds, delay)
 
-            def holds(d):
-                own = x + d * v
-                z_own = slot_sum(own[..., None, :] - (x_nb + d[..., None, :] * v_nb))
-                return crossed(xhat - own, z_own)
-            return _first_instant(holds, _first_root(a, b, c), _ulp_time(x, xhat, v))
-        return _Rule(fired, no_refresh, velocity, delays)
+    sigma, weigh = sigma.tolist(), not isinstance(law, StateDependent)  # directed, periodic
+    scale = (4.0 * w.sum(axis=1)).tolist() if weigh else [4.0 * len(js) for js in nbrs]
 
-    if isinstance(law, StateDependent):
-        def threshold(xhat):
-            d = xhat - xhat[idx]
-            return sigma * slot_sum(d * d) / (4.0 * card)
-    else:  # directed and periodic state-dependent
-        d_out = np.array([w[i].sum() for i in range(n)])
+    def refresh(i, xhat):
+        xi, total, spread = xhat[i], 0.0, 0.0
+        for j, wij in zip(nbrs[i], wts[i]):
+            d = xi - xhat[j]
+            total += wij * d
+            spread += wij * d * d if weigh else d * d
+        return -total, sigma[i] * spread / scale[i]
 
-        def threshold(xhat):
-            d = xhat - xhat[idx]
-            return sigma * slot_sum(wts * d * d) / (4.0 * d_out)
+    def holds(i, t, xi, a):
+        e = a.xhat[i] - xi
+        return e != 0.0 and e * e >= a.thr[i]
 
-    thr = np.zeros(n)
-    radius = np.zeros(n)
-
-    def refresh(xhat):
-        thr[:] = threshold(xhat)
-        radius[:] = np.sqrt(thr)
-        return thr
-
-    def crossed(e):
-        return (e != 0.0) & (e * e >= thr)
-
-    def fired(t, x, xhat):
-        return np.flatnonzero(crossed(xhat - x))
-
-    def delays(t, x, xhat, v):
+    def delay(i, a):
         # |e - s v| reaches sqrt(thr) at s = (sqrt(thr) + e sign(v)) / |v|.
-        av = np.abs(v)
-        s = np.full(n, np.inf)
-        np.divide(radius + (xhat - x) * np.sign(v), av, out=s, where=av > 0.0)
+        xi, vi, xh = a.x[i], a.v[i], a.xhat[i]
+        if vi == 0.0:
+            return math.inf
+        e, thr = xh - xi, a.thr[i]
+        r = math.sqrt(thr)
+        s = (r + e) / vi if vi > 0.0 else (r - e) / -vi
 
-        def holds(d):
-            return crossed(xhat - (x + d * v))
-        return _first_instant(holds, s, _ulp_time(x, xhat, v))
-
-    periodic = isinstance(law, PeriodicStateDependent)
-    return _Rule(fired, refresh, velocity, None if periodic else delays)
+        def at(d):  # holds(i, t + d, xi + d * vi, a), inlined
+            e = xh - (xi + d * vi)
+            return e != 0.0 and e * e >= thr
+        return _first_instant(at, s, math.ulp(abs(xi) + abs(xh)) / abs(vi))
+    return _Rule(singles, affected, affected, inn, refresh, holds, delay)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +517,13 @@ def simulate_triggered(
 ) -> Trace:
     """Simulate the sample-and-hold closed loop under one trigger law.
 
-    Continuous laws jump from event to event: the law's kernel gives every
-    agent's next firing time from the current anchor, the earliest one is
-    fired, and broadcasts that it enables at the same instant cascade in
-    ascending agent id. The periodic law is evaluated only at multiples of
-    its period h, with ``dt`` coerced so those instants land exactly on
-    sample rows. Sample rows in between are filled from the affine motion.
-    Every agent broadcasts at t = 0.
+    Every agent keeps an anchor (time, state, velocity) and a firing time.
+    Continuous laws fire the earliest; the agents whose predicate reads a
+    broadcast are checked in ascending id and fired until none holds (a
+    cascade); only the affected sets of the agents that fire are re-anchored
+    and re-solved. The periodic law checks every agent at multiples of its
+    period h, with ``dt`` coerced so those instants land on sample rows.
+    Rows are filled from the anchors. Every agent broadcasts at t = 0.
 
     Raises ZenoAbort when one agent fires more than MAX_EVENTS_PER_WINDOW
     times within a single sample interval of length ``dt``.
@@ -572,71 +546,97 @@ def simulate_triggered(
     n_steps, times = _sample_grid(dt, horizon, cfg.sample_every)
     t_end = times[-1]
 
-    rule = _law_rule(g, law, laplacian(g), info.laplacian_norm)
+    members, affected, moved, reads, refresh, holds, delay = _law_rule(g, law, info.laplacian_norm)
+    network = isinstance(law, CentralizedNorm)
 
-    # Closed-loop state: time, true states and last broadcasts. The error
-    # e = xhat - x is always derived; right after agent i fires, xhat[i]
-    # equals x[i] exactly, so e_i restarts at zero.
-    t, x, xhat = 0.0, x0.copy(), x0.copy()
-    events: list[EventRecord] = []
+    # e = xhat - x is derived, so e_i restarts at exactly zero when i fires.
+    # Anchors and firing times are float buffers: the loop reads and writes
+    # floats, zero-copy numpy views fill rows and find the earliest time.
+    def floats(values):
+        return memoryview(bytearray(np.asarray(values, dtype=float).tobytes())).cast("d")
+
+    start, units = x0.tolist(), range(len(members))
+    a = _Anchors(floats(np.zeros(n)), floats(x0), floats(np.zeros(n)), list(start), [0.0] * n)
+    for i in range(n):
+        a.v[i], a.thr[i] = refresh(i, a.xhat)
+    due, own = floats(np.full(len(units), math.inf)), [0.0] * len(units)
+    anchor_t, anchor_x, velocity, due_times = (np.frombuffer(b) for b in (a.t, a.x, a.v, due))
 
     # t = 0 bootstrap: every agent broadcasts so xhat(0) = x0.
-    if isinstance(law, CentralizedNorm):
-        events.append(EventRecord(t=0.0, agent=ALL_AGENTS, value=x0.copy()))
-    else:
-        for i in range(n):
-            events.append(EventRecord(t=0.0, agent=i, value=float(x0[i])))
-    rule.refresh(xhat)
-    velocity = rule.velocity(xhat)
+    events = ([EventRecord(t=0.0, agent=ALL_AGENTS, value=x0.copy())] if network
+              else [EventRecord(t=0.0, agent=i, value=x) for i, x in enumerate(start)])
 
     states = np.empty((len(times), n))
-    row = 0
-    window, window_count = 0, np.zeros(n, dtype=int)
+    row, row_times = 0, times.tolist()
+    window, window_count = 0, {}
 
-    def fire_instant(t_star: float, x_at: np.ndarray) -> None:
-        """Fire every predicate that holds at t_star, cascading to a fixpoint."""
-        nonlocal window
-        if math.ceil(t_star / dt) != window:
-            window, window_count[:] = math.ceil(t_star / dt), 0
-        while True:
-            ready = rule.fired(t_star, x_at, xhat)
-            if not ready.size:
-                return
-            i = int(ready[0])
-            if i == ALL_AGENTS:
-                xhat[:] = x_at
-                events.append(EventRecord(t=t_star, agent=ALL_AGENTS, value=x_at.copy()))
-                agents = range(n)
-            else:
-                xhat[i] = x_at[i]
-                events.append(EventRecord(t=t_star, agent=i, value=float(x_at[i])))
-                agents = (i,)
-            for a in agents:
-                window_count[a] += 1
-                if window_count[a] > MAX_EVENTS_PER_WINDOW:
-                    raise ZenoAbort(t_star, a, events)
-            rule.refresh(xhat)
+    at_t, at_x, at_v, xhat, thr = a
 
-    decision = steps_per_h if periodic else 0
+    def join(us) -> None:
+        # Re-anchor units at t once; a unit due now by the delay it checked.
+        for u in us:
+            if u not in cand:
+                s = own[u] if due[u] == t else None
+                for m in members[u]:
+                    at_x[m] += (t - at_t[m] if s is None else s) * at_v[m]
+                    at_t[m] = t
+                cand.add(u)
+
+    def fire(u: int) -> None:
+        events.append(EventRecord(t=t, agent=ALL_AGENTS, value=np.array(at_x)) if network
+                      else EventRecord(t=t, agent=u, value=at_x[u]))
+        for m in members[u]:
+            xhat[m] = at_x[m]
+        window_count[u] = count = window_count.get(u, 0) + 1  # a unit's agents fire together
+        if count > MAX_EVENTS_PER_WINDOW:
+            raise ZenoAbort(t, members[u][0], events)
+        join(affected[u])
+        for m in moved[u]:
+            at_v[m], thr[m] = refresh(m, xhat)
+        verified.difference_update(reads[u])
+        queue.extend(reads[u])
+        queue.sort(reverse=True)
+
+    t, decision, cand = 0.0, steps_per_h if periodic else 0, set(units)
     while True:
+        for u in () if periodic else cand:  # re-solve what the last instant touched
+            own[u] = s = delay(u, a)
+            due[u] = t + s
         if periodic:
             on_grid = decision <= n_steps and decision * dt <= horizon
             t_next = decision * dt if on_grid else math.inf
-            step = t_next - t
             decision += steps_per_h
         else:
-            step = float(rule.delays(t, x, xhat, velocity).min())
-            t_next = t + step
-        stop = int(np.searchsorted(times, t_next))
+            t_next = due[int(due_times.argmin())]
+        stop = bisect.bisect_left(row_times, t_next, row)
         if stop > row:
-            states[row:stop] = x + (times[row:stop] - t)[:, None] * velocity
+            block = np.subtract(times[row:stop, None], anchor_t, out=states[row:stop])
+            block *= velocity  # in place: a block of rows holds no temporaries
+            block += anchor_x
             row = stop
         if t_next > t_end:
             break
-        x = x + step * velocity
         t = t_next
-        fire_instant(t, x)
-        velocity = rule.velocity(xhat)
+        if math.ceil(t / dt) != window:
+            window, window_count = math.ceil(t / dt), {}
+        # Queue the units due now (kernel-verified until a broadcast they read)
+        # or, at a decision instant, after one step of all agents (cand stays
+        # all of them), those that hold. Each broadcast queues its readers;
+        # the lowest queued unit that holds fires next.
+        if periodic:
+            anchor_x += (t - anchor_t) * velocity
+            anchor_t.fill(t)
+            e = np.array(xhat) - anchor_x
+            verified = set(np.flatnonzero((e != 0.0) & (e * e >= np.array(thr))).tolist())
+        else:
+            cand = set()
+            join(np.flatnonzero(due_times == t).tolist())
+            verified = set(cand)
+        queue = sorted(verified, reverse=True)
+        while queue:
+            u = queue.pop()
+            if u in verified or holds(u, t, at_x if network else at_x[u], a):
+                fire(u)
 
     return Trace(
         times=times,

@@ -553,7 +553,10 @@ def simulate_sample_hold(
     Each inter-event segment propagates the joint state [x, e, x_s],
     restarted at the segment's initial state, by one exponential of G.
     Events are scheduled with :func:`next_event_time`; when no event occurs
-    before t_max the trajectory coasts to the horizon.
+    before t_max, or V = x^T P x at the last event has underflowed (0 or
+    subnormal, so the gap is rounding), the trajectory coasts to the horizon
+    under the held input with no further scan. The coast carries the joint
+    state on in windows of at most t_max, so each exponential stays bounded.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = lyap.n
@@ -574,13 +577,15 @@ def simulate_sample_hold(
     s_vals: list[float] = []
     event_times: list[float] = [0.0]
 
-    first_segment = True
+    first_segment, dt_event = True, 0.0
     while t < horizon - 1e-12:
-        dt_event = next_event_time(sys, lyap, x, t_max)
-        seg = horizon - t if dt_event is None else min(dt_event, horizon - t)
+        if dt_event is not None:  # at an event: restart the joint state, scan
+            z = _start(x).ravel()
+            underflow = float(x @ p @ x) < np.finfo(float).tiny
+            dt_event = None if underflow else next_event_time(sys, lyap, x, t_max)
+        seg = min(t_max if dt_event is None else dt_event, horizon - t)
         tau_step = seg / samples_per_interval
         phi_tau = matrix_exponential(lyap.g, tau_step)
-        z = _start(x).ravel()
         if first_segment:
             times.append(t)
             states.append(x.copy())

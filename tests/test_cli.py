@@ -272,6 +272,25 @@ def test_linear_et_subcommand(tmp_path, capsys):
     assert (tmp_path / "let" / "linear_et_events.csv").exists()
 
 
+@pytest.mark.parametrize("horizon", [1000, 8000])
+def test_linear_et_coasts_in_windows_past_the_last_crossing(tmp_path, capsys, horizon):
+    """By t = 708 on this plant V = x^T P x has underflowed, so its gap is
+    rounding and is not scanned: the run coasts to the horizon under the held
+    input, t_max = 50 at a time (one 7000 s segment overflowed the
+    exponential), and logs no event past the last real crossing."""
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("[linear_et]\nn = 1\nm = 1\na = 0\nb = 1\nk = -1\nq = 1\nr = 0.5\n"
+                   f"x0 = 1\nhorizon = {horizon}\n[run]\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["linear-et", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  min_gap >= t_min" in out and "FAIL" not in out
+    rows = (tmp_path / "out" / "linear_et_trace.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[0]) == pytest.approx(horizon)
+    events = (tmp_path / "out" / "linear_et_events.csv").read_text().splitlines()
+    assert len(events) == 1 + 480  # header, t = 0 and 479 crossings
+    assert 707.0 < float(events[-1].split(",")[1]) < 708.0
+
+
 @pytest.mark.parametrize("key, value", [
     ("x0", "nan, 0"),
     ("x0", "inf, 0"),

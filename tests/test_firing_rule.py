@@ -1,9 +1,9 @@
-"""The engine's array firing rules against the scalar per-agent evaluators.
+"""The engine's per-agent firing rules against the scalar evaluators.
 
 The scalar ``eval_*`` functions and ``AgentView`` in ``triggers`` are the
-reference: for every law, the engine's rule must fire exactly the agents they
-fire, in ascending order, and the cached thresholds of the state-dependent
-family must equal the scalar thresholds bit for bit.
+reference: for every law, the engine's per-agent predicates must fire exactly
+the agents they fire, and the cached thresholds of the state-dependent family
+must equal the scalar thresholds bit for bit.
 """
 
 import math
@@ -30,7 +30,7 @@ from etconsensus import (
     random_connected_undirected,
     spectral_info,
 )
-from etconsensus.engine import _law_rule
+from etconsensus.engine import _Anchors, _law_rule
 from etconsensus.triggers import directed_state_dependent_threshold, state_dependent_threshold
 
 
@@ -85,9 +85,32 @@ def oracle_thresholds(law, g, xhat):
     return [fn(v, law.sigma_i[v.i]) for v in views(g, 0.0, xhat, xhat)]
 
 
+def anchored(rule, t, x, xhat):
+    """Anchors with every agent at x at time t, holding xhat, with the
+    velocities and thresholds the rule derives from xhat."""
+    n = len(x)
+    a = _Anchors([t] * n, np.asarray(x, dtype=float).tolist(), [0.0] * n,
+                 np.asarray(xhat, dtype=float).tolist(), [0.0] * n)
+    for i in range(n):
+        a.v[i], a.thr[i] = rule.refresh(i, a.xhat)
+    return a
+
+
 def engine_rule(law, g):
-    rule = _law_rule(g, law, laplacian(g), spectral_info(g).laplacian_norm)
-    return rule.fired, rule.refresh
+    """The engine's rule as (fired, refresh): ``fired(t, x, xhat)`` is the
+    ascending array of agents whose predicate holds ([ALL_AGENTS] for the
+    network-wide law), ``refresh(xhat)`` the list of cached thresholds."""
+    rule = _law_rule(g, law, spectral_info(g).laplacian_norm)
+
+    def fired(t, x, xhat):
+        a = anchored(rule, t, x, xhat)
+        if isinstance(law, CentralizedNorm):
+            return np.array([ALL_AGENTS] if rule.holds(0, t, a.x, a) else [], dtype=int)
+        return np.array([i for i in range(g.n) if rule.holds(i, t, a.x[i], a)], dtype=int)
+
+    def refresh(xhat):
+        return anchored(rule, 0.0, xhat, xhat).thr
+    return fired, refresh
 
 
 @settings(max_examples=250, deadline=None)

@@ -1,10 +1,10 @@
 """The engine's next-event kernels and event loop.
 
-Each law's kernel returns every agent's delay to its next firing time from
-an anchor at which no predicate holds. The scalar ``eval_*`` evaluators are
-the reference: they must fire the agent at the returned delay, and at no
-delay before it that the state resolves. The event loop is compared with a
-50-digit decimal run of the directed law.
+Each law's kernel returns an agent's delay to its next firing time from an
+anchor at which its predicate does not hold. The scalar ``eval_*``
+evaluators are the reference: they must fire the agent at the returned
+delay, and at no delay before it that the state resolves. The event loop
+is compared with a 50-digit decimal run of the directed law.
 """
 
 import math
@@ -13,7 +13,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_firing_rule import oracle_fired
+from test_firing_rule import anchored, oracle_fired
 
 from etconsensus import (
     ALL_AGENTS,
@@ -22,13 +22,13 @@ from etconsensus import (
     DirectedStateDependent,
     StateDependent,
     TimeDependent,
-    laplacian,
     random_balanced_digraph,
     random_connected_undirected,
     sim_config,
     simulate_triggered,
     spectral_info,
 )
+from etconsensus import engine
 from etconsensus.engine import _law_rule
 
 
@@ -104,7 +104,7 @@ def test_kernels_give_first_firing_instant(seed, n, t):
     state motion, whichever is larger."""
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n)
-    lap, norm_l = laplacian(g), spectral_info(g).laplacian_norm
+    norm_l = spectral_info(g).laplacian_norm
     x = rng.uniform(-1.0, 1.0, n)
     # Ordinary errors, zero errors, and (at random) an agreement state.
     xhat = x + rng.normal(0.0, 0.2, n) * (rng.random(n) < 0.7)
@@ -113,10 +113,10 @@ def test_kernels_give_first_firing_instant(seed, n, t):
     for law in laws_for(rng, g):
         xh = anchor(law, g, t, x, xhat)
         v = difference_velocity(g, xh)
-        rule = _law_rule(g, law, lap, norm_l)
-        assert np.array_equal(rule.velocity(xh), v)
-        rule.refresh(xh)
-        delays = rule.delays(t, x, xh, v)
+        rule = _law_rule(g, law, norm_l)
+        a = anchored(rule, t, x, xh)
+        assert np.array_equal(a.v, v)
+        delays = np.array([rule.delay(u, a) for u in range(len(rule.members))])
         assert np.all(delays >= 0.0)
         res = ulp_time(x, xh, v, isinstance(law, CentralizedNorm))
         for agent, s in enumerate(delays):
@@ -209,11 +209,11 @@ def test_agreeing_neighbourhood_never_fires():
         xhat = rng.uniform(-1.0, 1.0, g.n)
         xhat[np.flatnonzero(g.weights[i] > 0.0)] = xhat[i]
         for law in (StateDependent(), DirectedStateDependent()):
-            rule = _law_rule(g, law, laplacian(g), spectral_info(g).laplacian_norm)
-            assert rule.refresh(xhat)[i] == 0.0
-            v = rule.velocity(xhat)
-            assert v[i] == 0.0
-            assert rule.delays(1.0, xhat, xhat, v)[i] == math.inf
+            rule = _law_rule(g, law, spectral_info(g).laplacian_norm)
+            a = anchored(rule, 1.0, xhat, xhat)
+            assert a.thr[i] == 0.0
+            assert a.v[i] == 0.0
+            assert rule.delay(i, a) == math.inf
 
 
 def criterion_5_ninth_graph():
@@ -241,3 +241,68 @@ def test_zero_threshold_agent_does_not_stall(law):
     assert len(tr.events) < 2000
     d = tr.states[-1] - tr.states[-1].mean()
     assert np.linalg.norm(d) <= 1e-4
+
+
+def in_neighbours(g, k):
+    return set(np.flatnonzero(g.weights[:, k] > 0.0).tolist())
+
+
+@pytest.mark.parametrize("law, hops", [
+    (StateDependent(), 1),
+    (DirectedStateDependent(), 1),
+    (TimeDependent(c0=0.0, c1=0.2, alpha=0.5), 1),
+    (DecentralizedState(a=0.1), 2),
+])
+def test_a_broadcast_re_solves_only_the_agents_it_affects(monkeypatch, law, hops):
+    """Per-event work, counted by wrapping the kernel: after agent k
+    broadcasts, only k and its in-neighbours (agents i with w_ik > 0; their
+    in-neighbours too for the decentralized law, whose z_i reads true
+    neighbour states) are re-solved, 1 + in-degree(k) agents for a one-hop
+    law, not all n; only k and its in-neighbours get a new velocity."""
+    g = random_balanced_digraph(40, np.random.default_rng(11), extra_cycles=1)
+    x0 = np.random.default_rng(12).uniform(-1.0, 1.0, g.n)
+    log = []
+    real_rule, real_event = engine._law_rule, engine.EventRecord
+
+    def rule(*args):
+        r = real_rule(*args)
+
+        def delay(u, a):
+            log.append(("solve", u))
+            return r.delay(u, a)
+
+        def refresh(i, xhat):
+            log.append(("refresh", i))
+            return r.refresh(i, xhat)
+        return r._replace(delay=delay, refresh=refresh)
+
+    def event(**kwargs):
+        log.append(("event", kwargs["agent"]))
+        return real_event(**kwargs)
+
+    monkeypatch.setattr(engine, "_law_rule", rule)
+    monkeypatch.setattr(engine, "EventRecord", event)
+    simulate_triggered(g, law, x0, sim_config(g, horizon=1.5, dt=1e-3))
+
+    def affected(k, hops=hops):
+        out = {k} | in_neighbours(g, k)
+        for _ in range(hops - 1):
+            out |= {h for i in out for h in in_neighbours(g, i)}
+        return out
+
+    fired, solves = [], 0
+    allowed, after_event = set(), False
+    for kind, agent in log:
+        if kind == "event":
+            allowed = (allowed if after_event else set()) | affected(agent)
+            after_event = True
+            fired.append(agent)
+        elif kind == "refresh":  # the n set-up refreshes come before any event
+            assert not fired or agent in affected(fired[-1], hops=1)
+        else:
+            assert agent in allowed
+            after_event, solves = False, solves + 1
+    # The t = 0 bootstrap broadcasts and solves every agent once.
+    fired = fired[g.n:]
+    assert len(fired) > 50
+    assert solves - g.n <= sum(len(affected(k)) for k in fired) < len(fired) * g.n / 4
