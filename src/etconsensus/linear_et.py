@@ -11,7 +11,10 @@ Between updates the extended closed loop y = [x, e] (e = x_ell - x, the
 hold error) runs under F and the comparison state x_s under A_s. Everything
 here propagates the one joint state z = [x, e, x_s] under G = diag(F, A_s),
 restarted at [x_ell, 0, x_ell], by exponentials and powers of G, and reads
-V - S off it.
+V - S off it. The event scan and its bisection carry z as a flat vector: a
+grid block of states is one product of the stacked step powers with z, and
+V - S of the block is two row-wise quadratic forms. Only M(t) and the det
+scan carry the n columns [I; 0; I].
 
 Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 """
@@ -19,6 +22,7 @@ Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,6 +96,16 @@ def _pade(a: np.ndarray) -> np.ndarray:
         numer = numer + coeff * term
         denom = denom + (sign * coeff) * term
     return np.linalg.solve(denom, numer)
+
+
+def _check_positive(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+
+
+def _check_count(value: int, name: str) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_spd(mat: np.ndarray, name: str) -> None:
@@ -170,9 +184,9 @@ class LyapunovData:
     """Solved Lyapunov matrix P, the extended dynamics F of y = [x, e], and
     the joint generator G = diag(F, A_s) of z = [x, e, x_s].
 
-    The grid scans' stacked step powers of exp(G step) (per grid step) and
-    the bisections' halving ladders of G (per bracket width) are kept on the
-    instance.
+    The grid scans' step powers of exp(G step), stacked into one
+    (block 3n x 3n) matrix (per grid step), and the bisections' halving
+    ladders of G (per bracket width) are kept on the instance.
     """
 
     p: np.ndarray
@@ -249,10 +263,9 @@ def design(a, b, k, q, r, a_s=None):
 # ---------------------------------------------------------------------------
 
 def _start(x_ell: np.ndarray) -> np.ndarray:
-    """Joint states [x_ell; 0; x_ell] right after an update, one column per
-    column of x_ell (a vector gives one column)."""
-    cols = x_ell.reshape(len(x_ell), -1)
-    return np.vstack([cols, np.zeros_like(cols), cols])
+    """Joint state [x_ell; 0; x_ell] right after an update: a vector for a
+    state vector, one column per column of a matrix x_ell."""
+    return np.concatenate([x_ell, np.zeros_like(x_ell), x_ell])
 
 
 def _gram(a: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -261,16 +274,26 @@ def _gram(a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _gap(lyap: LyapunovData, z: np.ndarray) -> np.ndarray:
-    """V - S of joint states held as the columns of z, or of each matrix of a
-    stack: x^T P x - x_s^T P x_s. One column gives the gap f; the columns
-    [I; 0; I] carried to time t give M(t)."""
+    """Matrix x^T P x - x_s^T P x_s of joint states held as the columns of z,
+    or of each matrix of a stack: the columns [I; 0; I] carried to time t
+    give M(t)."""
     n = lyap.n
     return _gram(z[..., :n, :], lyap.p) - _gram(z[..., 2 * n:, :], lyap.p)
 
 
-def _gap_at(lyap: LyapunovData, t: float, z0: np.ndarray) -> np.ndarray:
-    """_gap of the joint states z0 carried to time t by one exponential."""
-    return _gap(lyap, matrix_exponential(lyap.g, t) @ z0)
+def _state_gap(lyap: LyapunovData, z: np.ndarray) -> float:
+    """Gap f = V - S = x^T P x - x_s^T P x_s of one joint state vector z."""
+    n = lyap.n
+    x, xs = z[:n], z[2 * n:]
+    return float(x @ lyap.p @ x - xs @ lyap.p @ xs)
+
+
+def _block_gaps(lyap: LyapunovData, zs: np.ndarray) -> np.ndarray:
+    """Gap f of each row of a block of joint state vectors, as two row-wise
+    quadratic forms."""
+    n = lyap.n
+    x, xs = zs[:, :n], zs[:, 2 * n:]
+    return np.einsum("ij,ij->i", x @ lyap.p, x) - np.einsum("ij,ij->i", xs @ lyap.p, xs)
 
 
 def trigger_gap(sys: LinearEtSystem, lyap: LyapunovData, t: float, x_ell) -> float:
@@ -283,13 +306,13 @@ def trigger_gap(sys: LinearEtSystem, lyap: LyapunovData, t: float, x_ell) -> flo
     n = lyap.n
     if x_ell.shape != (n,):
         raise DimensionMismatch(f"x_ell must have length {n}, got {x_ell.shape}")
-    return float(_gap_at(lyap, t, _start(x_ell))[0, 0])
+    return _state_gap(lyap, matrix_exponential(lyap.g, t) @ _start(x_ell))
 
 
 def gap_matrix(lyap: LyapunovData, t: float) -> np.ndarray:
     """Matrix M(t) with f(t) = x_ell^T M(t) x_ell; events exist once it is
     singular."""
-    return _gap_at(lyap, t, _start(np.eye(lyap.n)))
+    return _gap(lyap, matrix_exponential(lyap.g, t) @ _start(np.eye(lyap.n)))
 
 
 def _powers(phi: np.ndarray, count: int) -> np.ndarray:
@@ -307,18 +330,22 @@ def _powers(phi: np.ndarray, count: int) -> np.ndarray:
 def _grid_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
     """Joint states at the grid points k step, k = 1 ... grid_points, from z0
     at t = 0, a block at a time: yields (k0, zs) with zs[j] the state at grid
-    point k0 + j.
+    point k0 + j, a vector or a matrix as z0 is.
 
-    The stacked step powers of exp(G step) are kept on lyap per (step, block).
+    The step powers of exp(G step), stacked into one (block 3n x 3n) matrix,
+    are kept on lyap per (step, block), so a block of states is one product.
     """
     block = min(_BLOCK, grid_points)
+    dim = lyap.g.shape[0]
     key = (step, block)
     if key not in lyap._grid_powers:
-        lyap._grid_powers[key] = _powers(matrix_exponential(lyap.g, step), block)
+        powers = _powers(matrix_exponential(lyap.g, step), block)
+        lyap._grid_powers[key] = powers.reshape(block * dim, dim)
     powers = lyap._grid_powers[key]
     z = z0
     for k0 in range(1, grid_points + 1, block):
-        zs = powers[:min(block, grid_points + 1 - k0)] @ z
+        count = min(block, grid_points + 1 - k0)
+        zs = (powers[:count * dim] @ z).reshape((count,) + z0.shape)
         yield k0, zs
         z = zs[-1]
 
@@ -385,9 +412,12 @@ def _first_crossing(f: np.ndarray, f_prev: float, k0: int) -> int:
     nonnegative, or -1. ``f[j]`` is the gap at grid point ``k0 + j`` and
     ``f_prev`` the one before the block; point 1 counts as a crossing
     because f(0) = 0."""
+    nonneg = f >= 0.0
+    if not nonneg.any():
+        return -1
     prev = np.concatenate(([f_prev], f[:-1]))
     k = k0 + np.arange(len(f))
-    cross = (f >= 0.0) & ((prev < 0.0) | (k == 1))
+    cross = nonneg & ((prev < 0.0) | (k == 1))
     return int(np.argmax(cross)) if cross.any() else -1
 
 
@@ -405,8 +435,10 @@ def _first_sign_change(signs: np.ndarray, baseline: float) -> tuple:
             return -1, 0.0
         first = int(nonzero[0]) + 1
         baseline = float(signs[first - 1])
-    off = np.flatnonzero(signs[first:] != baseline)
-    return (first + int(off[0]) if off.size else -1), baseline
+    off = signs[first:] != baseline
+    if not off.any():
+        return -1, baseline
+    return first + int(np.argmax(off)), baseline
 
 
 def next_event_time(
@@ -425,9 +457,16 @@ def next_event_time(
     is bisected to ROOT_TOL; returns the left end of the final bracket, or
     None when no crossing occurs before t_max (in particular for x_ell = 0,
     where the gap is identically zero).
+
+    The joint state is a flat vector: each block of grid states is one
+    product of the stacked step powers with it, and the block's gaps are two
+    row-wise quadratic forms; each bisection step is one matrix-vector
+    product and two quadratic forms. The rounding differs from a sequential
+    one-point-at-a-time scan, so a decision can differ from it only where
+    the gap is within rounding of zero.
     """
-    if t_max <= 0.0:
-        raise InvalidParameter(f"t_max must be positive, got {t_max}")
+    _check_positive(t_max, "t_max")
+    _check_count(grid_points, "grid_points")
     x_ell = np.asarray(x_ell, dtype=float)
     n = lyap.n
     if x_ell.shape != (n,):
@@ -439,7 +478,7 @@ def next_event_time(
     z0 = _start(x_ell)
     f_prev = 0.0
     for k0, zs in _grid_walk(lyap, z0, step, grid_points):
-        f = _gap(lyap, zs)[:, 0, 0]
+        f = _block_gaps(lyap, zs)
         j = _first_crossing(f, f_prev, k0)
         if j >= 0:
             return _event_in_cell(lyap, z0, k0 + j, step)
@@ -460,7 +499,7 @@ def _event_in_cell(lyap, z0, kk: int, step: float) -> Optional[float]:
     # Left end of the final bracket: within ROOT_TOL of the root with the gap
     # still negative, so resetting there keeps V <= S one-sided.
     return _bisect(lyap, lo, kk * step, width, z0,
-                   lambda w: not _gap(lyap, w)[0, 0] >= 0.0)[0]
+                   lambda w: not _state_gap(lyap, w) >= 0.0)[0]
 
 
 def _negative_start(lyap, z0, upper: float) -> Optional[float]:
@@ -468,7 +507,7 @@ def _negative_start(lyap, z0, upper: float) -> Optional[float]:
     z0 is negative, or None."""
     t = 0.5 * upper
     for _ in range(60):
-        if _gap_at(lyap, t, z0)[0, 0] < 0.0:
+        if _state_gap(lyap, matrix_exponential(lyap.g, t) @ z0) < 0.0:
             return t
         t *= 0.5
     return None
@@ -494,8 +533,8 @@ def min_inter_event_time(
     Raises NoRootFound if the determinant never changes sign in the window;
     the caller is responsible for choosing t_max large enough.
     """
-    if t_max <= 0.0:
-        raise InvalidParameter(f"t_max must be positive, got {t_max}")
+    _check_positive(t_max, "t_max")
+    _check_count(grid_points, "grid_points")
     step = t_max / grid_points
     baseline = 0.0
     for k0, zs in _grid_walk(lyap, _start(np.eye(lyap.n)), step, grid_points):
@@ -564,10 +603,11 @@ def simulate_sample_hold(
         raise DimensionMismatch(f"x0 must have length {n}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidParameter(f"x0 must be finite, got {x.tolist()}")
-    if horizon <= 0.0:
-        raise InvalidParameter(f"horizon must be positive, got {horizon}")
+    _check_positive(horizon, "horizon")
+    _check_count(samples_per_interval, "samples_per_interval")
     if t_max is None:
         t_max = default_t_max(lyap)
+    _check_positive(t_max, "t_max")
 
     p = lyap.p
     t = 0.0
@@ -580,7 +620,7 @@ def simulate_sample_hold(
     first_segment, dt_event = True, 0.0
     while t < horizon - 1e-12:
         if dt_event is not None:  # at an event: restart the joint state, scan
-            z = _start(x).ravel()
+            z = _start(x)
             underflow = float(x @ p @ x) < np.finfo(float).tiny
             dt_event = None if underflow else next_event_time(sys, lyap, x, t_max)
         seg = min(t_max if dt_event is None else dt_event, horizon - t)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from etconsensus.cli import check_bounds, main
 from etconsensus.config import load_linear_et_config
 from etconsensus.linear_et import default_t_max, design, simulate_sample_hold
 from etconsensus.metrics import RunMetrics, parse_metrics_csv
-from helpers import assert_same_csv
+from helpers import assert_same_csv, random_linear_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -357,6 +360,45 @@ def test_linear_et_trace_matches_per_element_formatter(tmp_path, plant):
     assert len(trace.event_times) > 2
     written = (tmp_path / "let" / "linear_et_trace.csv").read_text()
     assert written == parent_linear_et_trace_csv(trace, lyap.n)
+
+
+def seeded_plant_config(tmp_path, seed, n):
+    """A random stabilized plant with n states as a ``[linear_et]`` config;
+    the horizon defaults to 20 t_min."""
+    rng = np.random.default_rng(seed)
+    sys_, _ = random_linear_system(rng, n)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    lines = ["[linear_et]", f"n = {n}", f"m = {sys_.b.shape[1]}"]
+    for key, value in (("a", sys_.a), ("b", sys_.b), ("k", sys_.k), ("q", sys_.q),
+                       ("r", sys_.r), ("x0", x0)):
+        lines.append(f"{key} = " + ", ".join(map(repr, np.ravel(value).tolist())))
+    cfg = tmp_path / f"plant{seed}.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg
+
+
+def linear_et_in_subprocess(cfg, out, blas_threads):
+    """Exit code, stdout, stderr and output files of ``linear-et`` in a fresh
+    interpreter; OpenBLAS reads its thread count when numpy is imported."""
+    src = str(Path(__import__("etconsensus").__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "etconsensus.cli", "linear-et", str(cfg), "--output-dir", str(out)],
+        env=env, capture_output=True, timeout=120,
+    )
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+@pytest.mark.parametrize("plant", ["linear_et_2d.cfg", "seeded n=6"])
+def test_linear_et_output_is_the_same_at_one_and_two_blas_threads(tmp_path, plant):
+    """The grid scans multiply (block 3n x 3n) stacks of step powers through
+    BLAS; every output byte must not depend on how many threads it uses."""
+    cfg = CONFIG_DIR / plant if plant.endswith(".cfg") else seeded_plant_config(tmp_path, 3, 6)
+    one = linear_et_in_subprocess(cfg, tmp_path / "one", 1)
+    two = linear_et_in_subprocess(cfg, tmp_path / "two", 2)
+    assert one[0] == 0 and b"events=0 " not in one[1], one
+    assert one == two
 
 
 def test_main_calls_in_one_process_are_independent(tmp_path, capsys):

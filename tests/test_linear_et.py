@@ -244,6 +244,42 @@ def test_sample_hold_rejects_non_finite_x0(bad):
         simulate_sample_hold(sys_, lyap, [bad], horizon=1.0)
 
 
+#: The library entry points with valid defaults, so that one keyword at a
+#: time can be made bad.
+CALLS = {
+    "simulate_sample_hold": lambda sys_, lyap, horizon=1.0, **kwargs: simulate_sample_hold(
+        sys_, lyap, [1.0], horizon, **kwargs),
+    "next_event_time": lambda sys_, lyap, t_max=10.0, **kwargs: next_event_time(
+        sys_, lyap, [1.0], t_max, **kwargs),
+    "min_inter_event_time": lambda sys_, lyap, t_max=10.0, **kwargs: min_inter_event_time(
+        sys_, lyap, t_max, **kwargs),
+}
+
+
+@pytest.mark.parametrize("func, name, value", [
+    # An infinite horizon used to coast in t_max windows forever, and a nan
+    # one returned an empty trace.
+    ("simulate_sample_hold", "horizon", math.inf),
+    ("simulate_sample_hold", "horizon", math.nan),
+    ("simulate_sample_hold", "samples_per_interval", 0),
+    ("simulate_sample_hold", "samples_per_interval", 2.5),
+    ("simulate_sample_hold", "t_max", math.inf),
+    ("simulate_sample_hold", "t_max", math.nan),
+    ("next_event_time", "grid_points", 0),
+    ("next_event_time", "grid_points", 2.5),
+    ("next_event_time", "t_max", math.inf),
+    ("next_event_time", "t_max", math.nan),
+    ("min_inter_event_time", "grid_points", 0),
+    ("min_inter_event_time", "grid_points", 2.5),
+    ("min_inter_event_time", "t_max", math.inf),
+    ("min_inter_event_time", "t_max", math.nan),
+])
+def test_bad_numbers_raise_naming_the_parameter(func, name, value):
+    sys_, lyap = scalar_toolkit()
+    with pytest.raises(InvalidParameter, match=f"^{name} must be"):
+        CALLS[func](sys_, lyap, **{name: value})
+
+
 # -- joint propagation against the two flows taken separately -------------------
 
 def separate_flows(sys_, lyap, t):

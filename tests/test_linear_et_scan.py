@@ -256,15 +256,39 @@ def test_root_next_to_block_boundary(seed, cell):
 
 # ---------------------------------------------------------------------------
 # The block predicates against the sequential rules, on values with exact
-# zeros (which random plants never produce).
+# zeros and nans (which random plants never produce). Most blocks of a scan
+# hold no crossing or sign change and return early; the explicit cases put
+# such a block right before the first point that decides.
 # ---------------------------------------------------------------------------
 
-values = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=40)
+NAN = float("nan")
+values = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, NAN]), min_size=1, max_size=40)
+sign_values = st.lists(st.sampled_from([-1.0, 0.0, 1.0, NAN]), min_size=1, max_size=40)
 blocks = st.integers(1, 9)
 
 
 def split(seq, size):
     return [(k0, np.array(seq[k0 - 1:k0 - 1 + size])) for k0 in range(1, len(seq) + 1, size)]
+
+
+def block_crossing(f, size):
+    f_prev = 0.0
+    for k0, block in split(f, size):
+        j = _first_crossing(block, f_prev, k0)
+        if j >= 0:
+            return k0 + j
+        f_prev = block[-1]
+    return None
+
+
+def block_sign_change(signs, size):
+    """(grid point, baseline as a string so that nan compares equal)."""
+    baseline = 0.0
+    for k0, block in split(signs, size):
+        j, baseline = _first_sign_change(block, baseline)
+        if j >= 0:
+            return k0 + j, str(baseline)
+    return None
 
 
 @settings(max_examples=300)
@@ -277,19 +301,11 @@ def test_first_crossing_matches_sequential_predicate(f, size):
             expected = kk
             break
         f_prev = f_k
-    found = None
-    f_prev = 0.0
-    for k0, block in split(f, size):
-        j = _first_crossing(block, f_prev, k0)
-        if j >= 0:
-            found = k0 + j
-            break
-        f_prev = block[-1]
-    assert found == expected
+    assert block_crossing(f, size) == expected
 
 
 @settings(max_examples=300)
-@given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=40), blocks)
+@given(sign_values, blocks)
 def test_first_sign_change_matches_sequential_rule(signs, size):
     expected = None
     baseline = 0.0
@@ -297,13 +313,19 @@ def test_first_sign_change_matches_sequential_rule(signs, size):
         if baseline == 0.0:
             baseline = sign_k
         elif sign_k != baseline:
-            expected = (kk, baseline)
+            expected = (kk, str(float(baseline)))
             break
-    found = None
-    baseline = 0.0
-    for k0, block in split(signs, size):
-        j, baseline = _first_sign_change(block, baseline)
-        if j >= 0:
-            found = (k0 + j, baseline)
-            break
-    assert found == expected
+    assert block_sign_change(signs, size) == expected
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_crossing_at_first_point_after_negative_block(size):
+    assert block_crossing([-1.0] * size + [0.0, -1.0], size) == size + 1
+    assert block_crossing([-1.0] * size + [NAN, 0.5], size) is None
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_sign_change_at_first_point_after_steady_block(size):
+    signs = [0.0] * size + [1.0] * size + [-1.0]
+    assert block_sign_change(signs, size) == (2 * size + 1, "1.0")
+    assert block_sign_change([-1.0] * size + [0.0], size) == (size + 1, "-1.0")
