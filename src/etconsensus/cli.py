@@ -3,7 +3,11 @@ theorem-vs-observation bound checks.
 
 Exit codes: 0 success, 2 validation error (the message names the offending
 field), 3 suspected Zeno abort. A sweep with an aborted point still runs the
-remaining points and writes metrics.csv for those that finished.
+remaining points and writes metrics.csv for those that finished; an aborted
+point leaves only its partial events.csv.
+
+Every run replaces its output files: an existing file is unlinked and a new
+one written, so nothing an earlier run left at those names survives.
 """
 
 from __future__ import annotations
@@ -145,8 +149,18 @@ def _simulate(cfg: ExperimentConfig, law, sim):
 
 
 def _write(path: Path, text: str) -> None:
+    """Replace the file at path with text.
+
+    Any existing file is unlinked and a new one created, never truncated in
+    place: on filesystems that flush a file truncated and rewritten at close
+    (ext4's auto_da_alloc), rewriting into an existing output directory would
+    wait on that flush, and a rename over the file triggers it too. A hard
+    link or an open reader keeps the old bytes; a symlink at path is
+    replaced by a regular file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    path.unlink(missing_ok=True)
+    with open(path, "x", newline="\n") as fh:
         fh.write(text)
 
 
@@ -165,8 +179,11 @@ def cmd_run(args) -> int:
         try:
             trace = _simulate(cfg, law, sim)
         except ZenoAbort as exc:
-            # Keep the partial event log and go on with the remaining points.
+            # Keep the partial event log, drop what an earlier run left for
+            # this point, and go on with the remaining points.
             _write(point_dir / "events.csv", events_to_csv(exc.events))
+            for stale in ("trace.csv", "metrics.txt"):
+                (point_dir / stale).unlink(missing_ok=True)
             label = f" {overrides}" if overrides else ""
             print(f"zeno abort{label}: {exc}", file=sys.stderr)
             aborted = True
@@ -185,6 +202,8 @@ def cmd_run(args) -> int:
     if rows:
         header = metrics_csv_header(sweep_keys)
         _write(out_dir / "metrics.csv", header + "\n" + "\n".join(rows) + "\n")
+    else:
+        (out_dir / "metrics.csv").unlink(missing_ok=True)
     return 3 if aborted else 0
 
 

@@ -11,10 +11,10 @@ Between updates the extended closed loop y = [x, e] (e = x_ell - x, the
 hold error) runs under F and the comparison state x_s under A_s. Everything
 here propagates the one joint state z = [x, e, x_s] under G = diag(F, A_s),
 restarted at [x_ell, 0, x_ell], by exponentials and powers of G, and reads
-V - S off it. The event scan and its bisection carry z as a flat vector: a
-grid block of states is one product of the stacked step powers with z, and
-V - S of the block is two row-wise quadratic forms. Only M(t) and the det
-scan carry the n columns [I; 0; I].
+V - S = z^T W z, W = diag(P, 0, -P), off it. The event scan and its
+bisection carry z as a flat vector: the gaps of a grid block are one product
+of the stacked forms (Phi^j)^T W Phi^j of the step powers with z, then with z
+again. Only M(t) and the det scan carry the n columns [I; 0; I].
 
 Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 """
@@ -184,15 +184,17 @@ class LyapunovData:
     """Solved Lyapunov matrix P, the extended dynamics F of y = [x, e], and
     the joint generator G = diag(F, A_s) of z = [x, e, x_s].
 
-    The grid scans' step powers of exp(G step), stacked into one
-    (block 3n x 3n) matrix (per grid step), and the bisections' halving
-    ladders of G (per bracket width) are kept on the instance.
+    The grid scans' step powers Phi^j of exp(G step) and the event scan's
+    gap forms (Phi^j)^T W Phi^j, each stacked into one (block 3n x 3n)
+    matrix (per grid step), and the bisections' halving ladders of G (per
+    bracket width) are kept on the instance.
     """
 
     p: np.ndarray
     f: np.ndarray
     g: np.ndarray
     _grid_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gap_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _halvings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -288,14 +290,6 @@ def _state_gap(lyap: LyapunovData, z: np.ndarray) -> float:
     return float(x @ lyap.p @ x - xs @ lyap.p @ xs)
 
 
-def _block_gaps(lyap: LyapunovData, zs: np.ndarray) -> np.ndarray:
-    """Gap f of each row of a block of joint state vectors, as two row-wise
-    quadratic forms."""
-    n = lyap.n
-    x, xs = zs[:, :n], zs[:, 2 * n:]
-    return np.einsum("ij,ij->i", x @ lyap.p, x) - np.einsum("ij,ij->i", xs @ lyap.p, xs)
-
-
 def trigger_gap(sys: LinearEtSystem, lyap: LyapunovData, t: float, x_ell) -> float:
     """Gap f(t) = V(t) - S(t) at elapsed time t after an update at state x_ell.
 
@@ -327,27 +321,58 @@ def _powers(phi: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _step_powers(lyap: LyapunovData, step: float, block: int) -> np.ndarray:
+    """Powers exp(G step)^j, j = 1 ... block, stacked into one (block 3n x 3n)
+    matrix, kept on lyap per (step, block)."""
+    key = (step, block)
+    if key not in lyap._grid_powers:
+        dim = lyap.g.shape[0]
+        powers = _powers(matrix_exponential(lyap.g, step), block)
+        lyap._grid_powers[key] = powers.reshape(block * dim, dim)
+    return lyap._grid_powers[key]
+
+
 def _grid_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
     """Joint states at the grid points k step, k = 1 ... grid_points, from z0
     at t = 0, a block at a time: yields (k0, zs) with zs[j] the state at grid
-    point k0 + j, a vector or a matrix as z0 is.
-
-    The step powers of exp(G step), stacked into one (block 3n x 3n) matrix,
-    are kept on lyap per (step, block), so a block of states is one product.
+    point k0 + j, a vector or a matrix as z0 is. A block of states is one
+    product of the stacked step powers with the state before it.
     """
     block = min(_BLOCK, grid_points)
     dim = lyap.g.shape[0]
-    key = (step, block)
-    if key not in lyap._grid_powers:
-        powers = _powers(matrix_exponential(lyap.g, step), block)
-        lyap._grid_powers[key] = powers.reshape(block * dim, dim)
-    powers = lyap._grid_powers[key]
+    powers = _step_powers(lyap, step, block)
     z = z0
     for k0 in range(1, grid_points + 1, block):
         count = min(block, grid_points + 1 - k0)
         zs = (powers[:count * dim] @ z).reshape((count,) + z0.shape)
         yield k0, zs
         z = zs[-1]
+
+
+def _gap_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
+    """Gaps f at the grid points k step, k = 1 ... grid_points, from the joint
+    state vector z0 at t = 0, a block at a time: yields (k0, f) with f[j] the
+    gap at grid point k0 + j.
+
+    The forms (Phi^j)^T W Phi^j of the step powers Phi^j, W = diag(P, 0,
+    -P), are stacked into one (block 3n x 3n) matrix and kept on lyap per
+    (step, block), so a block's gaps are two products with the state z
+    before it, and Phi^block carries z to the next block.
+    """
+    block = min(_BLOCK, grid_points)
+    dim = lyap.g.shape[0]
+    powers = _step_powers(lyap, step, block)
+    key = (step, block)
+    if key not in lyap._gap_forms:
+        forms = _gap(lyap, powers.reshape(block, dim, dim))
+        lyap._gap_forms[key] = forms.reshape(block * dim, dim)
+    forms = lyap._gap_forms[key]
+    leap = powers[-dim:]
+    z = z0
+    for k0 in range(1, grid_points + 1, block):
+        count = min(block, grid_points + 1 - k0)
+        yield k0, (forms[:count * dim] @ z).reshape(count, dim) @ z
+        z = leap @ z
 
 
 def _halving_ladder(gen: np.ndarray, width: float, levels: int) -> np.ndarray:
@@ -458,12 +483,11 @@ def next_event_time(
     None when no crossing occurs before t_max (in particular for x_ell = 0,
     where the gap is identically zero).
 
-    The joint state is a flat vector: each block of grid states is one
-    product of the stacked step powers with it, and the block's gaps are two
-    row-wise quadratic forms; each bisection step is one matrix-vector
-    product and two quadratic forms. The rounding differs from a sequential
-    one-point-at-a-time scan, so a decision can differ from it only where
-    the gap is within rounding of zero.
+    The joint state is a flat vector: each block's gaps are two products of
+    the stacked gap forms (Phi^j)^T W Phi^j with it, and each bisection step
+    is one matrix-vector product and two quadratic forms. The rounding
+    differs from a sequential one-point-at-a-time scan, so a decision can
+    differ from it only where the gap is within rounding of zero.
     """
     _check_positive(t_max, "t_max")
     _check_count(grid_points, "grid_points")
@@ -477,8 +501,7 @@ def next_event_time(
     step = t_max / grid_points
     z0 = _start(x_ell)
     f_prev = 0.0
-    for k0, zs in _grid_walk(lyap, z0, step, grid_points):
-        f = _block_gaps(lyap, zs)
+    for k0, f in _gap_walk(lyap, z0, step, grid_points):
         j = _first_crossing(f, f_prev, k0)
         if j >= 0:
             return _event_in_cell(lyap, z0, k0 + j, step)

@@ -69,13 +69,24 @@ def test_run_rejects_self_loop(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
-def test_run_zeno_abort_exit_code(tmp_path, capsys):
-    law = "type = decentralized_state\na = 0.999999999999999\nsigma_i = 0.999"
-    cfg = make_config(tmp_path, law, horizon=0.001)
+ZENO_A = "0.999999999999999"  # decentralized_state a that aborts at dt = 0.0005
+
+
+def zeno_config(tmp_path, a=ZENO_A, sweep=None, name="exp.cfg"):
+    """Decentralized law on P2 at dt = 0.0005: a = ZENO_A aborts, a = 0.5 and
+    a = 0.25 finish; ``sweep`` lists values of law.a."""
+    law = f"type = decentralized_state\na = {a}\nsigma_i = 0.999"
+    extra = f"\n[sweep]\nlaw.a = {sweep}\n" if sweep else ""
+    cfg = make_config(tmp_path, law, horizon=0.001, extra=extra, name=name)
     cfg.write_text(cfg.read_text().replace(
         "[sim]\nhorizon = 0.001",
         "[sim]\nhorizon = 0.001\ndt = 0.0005",
     ))
+    return cfg
+
+
+def test_run_zeno_abort_exit_code(tmp_path, capsys):
+    cfg = zeno_config(tmp_path)
     assert main(["run", str(cfg)]) == 3
     assert "zeno" in capsys.readouterr().err.lower()
     assert (tmp_path / "out" / "events.csv").exists()
@@ -108,13 +119,7 @@ def test_run_rejects_non_finite_config_numbers(tmp_path, capsys, key, law, horiz
 
 
 def test_sweep_zeno_abort_keeps_finished_points(tmp_path, capsys):
-    law = "type = decentralized_state\na = 0.5\nsigma_i = 0.999"
-    cfg = make_config(tmp_path, law, horizon=0.001,
-                      extra="\n[sweep]\nlaw.a = 0.5, 0.999999999999999, 0.25\n")
-    cfg.write_text(cfg.read_text().replace(
-        "[sim]\nhorizon = 0.001",
-        "[sim]\nhorizon = 0.001\ndt = 0.0005",
-    ))
+    cfg = zeno_config(tmp_path, sweep=f"0.5, {ZENO_A}, 0.25")
     assert main(["run", str(cfg), "--quiet"]) == 3
     assert "zeno" in capsys.readouterr().err.lower()
     out = tmp_path / "out"
@@ -125,6 +130,105 @@ def test_sweep_zeno_abort_keeps_finished_points(tmp_path, capsys):
     assert not (out / "point_001" / "trace.csv").exists()
     assert (out / "point_002" / "trace.csv").exists()
     assert not (out / "events.csv").exists()
+
+
+def output_files(out_dir: Path) -> dict:
+    """Bytes of every file under out_dir, by relative path."""
+    return {str(f.relative_to(out_dir)): f.read_bytes()
+            for f in sorted(out_dir.rglob("*")) if f.is_file()}
+
+
+def test_aborted_run_leaves_no_stale_artifacts(tmp_path, capsys):
+    """A Zeno abort into the directory of a finished run leaves only its own
+    partial events.csv, so `bounds` cannot pass on the old metrics."""
+    finished = zeno_config(tmp_path, a="0.5", name="ok.cfg")
+    aborted = zeno_config(tmp_path)
+    assert main(["run", str(finished), "--quiet"]) == 0
+    out = tmp_path / "out"
+    assert set(output_files(out)) == {"trace.csv", "events.csv", "metrics.txt", "metrics.csv"}
+    assert main(["run", str(aborted), "--quiet"]) == 3
+    assert set(output_files(out)) == {"events.csv"}
+    capsys.readouterr()
+    assert main(["bounds", str(out / "metrics.csv"), str(aborted)]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_aborted_sweep_point_leaves_no_stale_artifacts(tmp_path, capsys):
+    """A rerun sweep whose middle point aborts removes that point's old trace
+    and metrics; metrics.csv holds the points that finished, and goes away
+    when none did."""
+    out = tmp_path / "out"
+    assert main(["run", str(zeno_config(tmp_path, sweep="0.5, 0.3, 0.25")), "--quiet"]) == 0
+    assert (out / "point_001" / "trace.csv").exists()
+    assert main(["run", str(zeno_config(tmp_path, sweep=f"0.5, {ZENO_A}, 0.25")),
+                 "--quiet"]) == 3
+    files = set(output_files(out))
+    assert {f for f in files if f.startswith("point_001")} == {"point_001/events.csv"}
+    assert {"point_000/trace.csv", "point_002/metrics.txt", "metrics.csv"} <= files
+    _, rows = parse_metrics_csv((out / "metrics.csv").read_text())
+    assert [r[0][0] for r in rows] == ["0.5", "0.25"]
+    assert main(["run", str(zeno_config(tmp_path, sweep=f"{ZENO_A}, {ZENO_A}")),
+                 "--quiet"]) == 3
+    assert not (out / "metrics.csv").exists()
+    assert not (out / "point_000" / "trace.csv").exists()
+    assert "zeno" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", "centralized_k3.cfg"),
+    ("linear-et", "linear_et_2d.cfg"),
+])
+def test_rerun_into_one_directory_gives_identical_bytes(tmp_path, capsys, command, config):
+    argv = [command, str(CONFIG_DIR / config), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    first = output_files(tmp_path / "out")
+    assert first
+    assert main(argv) == 0
+    assert output_files(tmp_path / "out") == first
+    stdout = capsys.readouterr().out
+    assert stdout[:len(stdout) // 2] == stdout[len(stdout) // 2:]
+
+
+def test_rerun_replaces_files_a_hard_link_keeps_the_old_bytes(tmp_path):
+    """The rerun writes a new file: a hard link to the old trace.csv, made
+    before it, still holds the old bytes."""
+    cfg = make_config(tmp_path, "type = state_dependent\nsigma_i = 0.5", horizon=20)
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    old = trace.read_bytes()
+    os.link(trace, tmp_path / "kept.csv")
+    cfg.write_text(cfg.read_text().replace("horizon = 20", "horizon = 5"))
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    assert (tmp_path / "kept.csv").read_bytes() == old
+    assert trace.read_bytes() != old
+    assert not os.path.samefile(trace, tmp_path / "kept.csv")
+
+
+def test_rerun_leaves_an_open_reader_on_the_old_file(tmp_path):
+    """A reader that opened trace.csv before a rerun reads the whole old file,
+    not a truncated or rewritten one."""
+    cfg = make_config(tmp_path, "type = state_dependent\nsigma_i = 0.5", horizon=20)
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    old = trace.read_bytes()
+    with open(trace, "rb") as reader:
+        head = reader.read(100)
+        cfg.write_text(cfg.read_text().replace("horizon = 20", "horizon = 5"))
+        assert main(["run", str(cfg), "--quiet"]) == 0
+        assert head + reader.read() == old
+    assert len(trace.read_bytes()) < len(old)
+
+
+def test_symlinked_output_becomes_a_regular_file(tmp_path):
+    target = tmp_path / "elsewhere.csv"
+    target.write_text("kept\n")
+    (tmp_path / "let").mkdir()
+    link = tmp_path / "let" / "linear_et_events.csv"
+    link.symlink_to(target)
+    assert main(["linear-et", str(make_linear_config(tmp_path)), "--quiet"]) == 0
+    assert target.read_text() == "kept\n"
+    assert not link.is_symlink()
+    assert link.read_text().startswith("l,t,gap\n")
 
 
 def test_run_is_byte_deterministic(tmp_path):

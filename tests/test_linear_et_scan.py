@@ -24,7 +24,10 @@ from etconsensus import (
     next_event_time,
     trigger_gap,
 )
-from etconsensus.linear_et import GRID_POINTS, ROOT_TOL, _BLOCK, _first_crossing, _first_sign_change
+from etconsensus.linear_et import (
+    GRID_POINTS, ROOT_TOL, _BLOCK, _first_crossing, _first_sign_change, _gap_walk,
+    _grid_walk, _start, _state_gap,
+)
 
 #: A decision may differ from the oracle's only where the oracle's own value
 #: is this close to zero, relative to its scale.
@@ -252,6 +255,25 @@ def test_root_next_to_block_boundary(seed, cell):
     t_min, _ = floor_with_window(sys_, lyap)
     t_max = t_min / (cell - 0.5) * grid_points
     assert check_floor(sys_, lyap, t_max, grid_points) is not None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("grid_points", [_BLOCK - 1, 3 * _BLOCK + 7])
+def test_gap_forms_match_gaps_of_the_grid_states(seed, grid_points):
+    """The event scan's gaps z^T (Phi^j)^T W Phi^j z, with the state carried
+    by Phi^block between blocks, against V - S of the grid walk's states."""
+    sys_, lyap, x_ell = plant(2 + seed, seed)
+    z0 = _start(x_ell)
+    step = 30.0 / float(np.linalg.norm(lyap.f, 2)) / grid_points
+    fused = list(_gap_walk(lyap, z0, step, grid_points))
+    states = list(_grid_walk(lyap, z0, step, grid_points))
+    assert [k0 for k0, _ in fused] == [k0 for k0, _ in states]
+    n = lyap.n
+    for (_, f), (_, zs) in zip(fused, states):
+        expected = np.array([_state_gap(lyap, z) for z in zs])
+        # Rounding is relative to V + S, the terms whose difference is f.
+        scale = np.array([z[:n] @ lyap.p @ z[:n] + z[2 * n:] @ lyap.p @ z[2 * n:] for z in zs])
+        assert np.all(np.abs(f - expected) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
