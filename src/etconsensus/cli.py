@@ -7,12 +7,16 @@ remaining points and writes metrics.csv for those that finished; an aborted
 point leaves only its partial events.csv.
 
 Every run replaces its output files: an existing file is unlinked and a new
-one written, so nothing an earlier run left at those names survives.
+one written, so nothing an earlier run left at those names survives. ``run``
+also removes the run files an earlier run left where this one writes none: in
+``point_NNN/`` directories beyond its points, and at the top of a sweep's
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -164,6 +168,34 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
+#: The files ``run`` writes for one run or sweep point, into its directory.
+_RUN_FILES = ("trace.csv", "events.csv", "metrics.txt")
+
+
+def _remove_stale_runs(out_dir: Path, points: int) -> None:
+    """Remove the run files that an earlier run left in out_dir where this
+    one, of ``points`` points, writes none: the top level for a sweep, and
+    every ``point_NNN/`` beyond its points (all of them for a single run).
+    Only the names in _RUN_FILES are removed, and a point directory only if
+    that leaves it empty."""
+    if not out_dir.is_dir():
+        return
+    sweep = points > 1
+    stale = [out_dir] if sweep else []
+    for path in out_dir.glob("point_*"):
+        index = path.name[len("point_"):]
+        if (index.isdigit() and path.name == f"point_{int(index):03d}"
+                and int(index) >= (points if sweep else 0)
+                and path.is_dir() and not path.is_symlink()):
+            stale.append(path)
+    for directory in stale:
+        for name in _RUN_FILES:
+            (directory / name).unlink(missing_ok=True)
+        if directory != out_dir:
+            with contextlib.suppress(OSError):  # not empty: other files are not ours
+                directory.rmdir()
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.output_dir or cfg.output_dir)
@@ -204,6 +236,7 @@ def cmd_run(args) -> int:
         _write(out_dir / "metrics.csv", header + "\n" + "\n".join(rows) + "\n")
     else:
         (out_dir / "metrics.csv").unlink(missing_ok=True)
+    _remove_stale_runs(out_dir, len(points))
     return 3 if aborted else 0
 
 

@@ -673,8 +673,9 @@ def convergence_radius_time_trigger(g: WeightedDigraph, c0: float) -> float:
 # ---------------------------------------------------------------------------
 
 #: Trace rows are rendered in blocks of whole rows (at least one) of about this
-#: many values, so that only one block at a time is held as Python floats.
-_CSV_BLOCK = 2048
+#: many values: a larger block spreads the formatter's per-call cost over more
+#: values, and holds more of its numpy temporaries at once.
+_CSV_BLOCK = 4000
 
 
 def _fmt(v: float) -> str:
@@ -684,29 +685,36 @@ def _fmt(v: float) -> str:
 def trace_to_csv(trace: Trace) -> str:
     """Render the sampled trajectory as CSV: t, x_0.., xhat_0.., V.
 
-    Every value is written as ``repr(float)``. The xhat columns (``Trace.xhats``)
+    Every value is written as ``repr(float)``; the t, x and V columns of a
+    block at once by ``_floatrepr.render``. The xhat columns (``Trace.xhats``)
     come from the event log: a row that events reach renders the latest value of
     each agent they name, other rows reuse the row before's, an ideal run its x.
     """
+    from ._floatrepr import render  # on first use, so that importing the package does not load it
+
     n = trace.n
     times, states, lyap = trace.times, trace.states, trace.lyapunov
     ideal, updates = not trace.events, dict(_updates(trace))
     seg = ",".join(strs := ["nan"] * n)
     rows = max(1, _CSV_BLOCK // (n + 2))
-    lines = [",".join(["t", *(f"x_{i}" for i in range(n)), *(f"xhat_{i}" for i in range(n)), "V"])]
+    ends = b"," * n + b"\n\n"  # the row's front (t and x) and V end in a newline
+    header = ",".join(["t", *(f"x_{i}" for i in range(n)), *(f"xhat_{i}" for i in range(n)), "V"])
+    chunks = [header + "\n"]  # one per block: only one block's row strings are alive at a time
     for start in range(0, len(times), rows):
         block = slice(start, start + rows)
-        front = np.column_stack((times[block], states[block])).tolist()
-        for r, (row, v) in enumerate(zip(front, lyap[block].tolist()), start):
-            text = ",".join(map(repr, row))
+        text = render(np.column_stack((times[block], states[block], lyap[block])), ends)
+        parts = iter(text.split("\n"))  # front, V, front, V, ...
+        lines = []
+        for r, front, v in zip(range(start, len(times)), parts, parts):
             if ideal:
-                seg = text.partition(",")[2]
+                seg = front.partition(",")[2]
             elif r in updates:
                 for i, value in updates[r].items():
                     strs[i] = _fmt(value)
                 seg = ",".join(strs)
-            lines.append(f"{text},{seg},{v!r}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{front},{seg},{v}\n")
+        chunks.append("".join(lines))
+    return "".join(chunks)
 
 
 def events_to_csv(events) -> str:

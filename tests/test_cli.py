@@ -174,6 +174,48 @@ def test_aborted_sweep_point_leaves_no_stale_artifacts(tmp_path, capsys):
     assert "zeno" in capsys.readouterr().err.lower()
 
 
+def sweep_config(tmp_path, sigmas=None, name="exp.cfg"):
+    """A centralized run on the 2-node path, a sweep over sigma if given."""
+    extra = f"\n[sweep]\nlaw.sigma = {sigmas}\n" if sigmas else ""
+    return make_config(tmp_path, "type = centralized\nsigma = 0.5", horizon=2, extra=extra, name=name)
+
+
+def test_shorter_sweep_removes_the_longer_sweeps_extra_points(tmp_path):
+    """Only this program's run files go, and a point directory only if that
+    empties it."""
+    out = tmp_path / "out"
+    assert main(["run", str(sweep_config(tmp_path, "0.1, 0.3, 0.5, 0.7")), "--quiet"]) == 0
+    (out / "point_003" / "notes.txt").write_text("mine")
+    assert main(["run", str(sweep_config(tmp_path, "0.2, 0.4")), "--quiet"]) == 0
+    run_files = {"trace.csv", "events.csv", "metrics.txt"}
+    assert set(output_files(out)) == ({f"point_00{i}/{f}" for i in (0, 1) for f in run_files}
+                                      | {"metrics.csv", "point_003/notes.txt"})
+    assert not (out / "point_002").exists()
+
+
+def test_single_run_removes_a_sweeps_points(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(sweep_config(tmp_path, "0.1, 0.3, 0.5")), "--quiet"]) == 0
+    assert main(["run", str(sweep_config(tmp_path)), "--quiet"]) == 0
+    assert set(output_files(out)) == {"trace.csv", "events.csv", "metrics.txt", "metrics.csv"}
+    assert sorted(p.name for p in out.iterdir()) == sorted(output_files(out))
+
+
+def test_sweep_removes_a_single_runs_files(tmp_path):
+    """A sweep writes no run files at the top of its directory, so it removes
+    those of a single run there; files and directories it does not name stay."""
+    out = tmp_path / "out"
+    assert main(["run", str(sweep_config(tmp_path)), "--quiet"]) == 0
+    for keep in ("notes.txt", "point_7/trace.csv", "points/trace.csv"):
+        (out / keep).parent.mkdir(exist_ok=True)
+        (out / keep).write_text("mine")
+    assert main(["run", str(sweep_config(tmp_path, "0.2, 0.4")), "--quiet"]) == 0
+    assert set(output_files(out)) == ({f"point_00{i}/{f}" for i in (0, 1)
+                                       for f in ("trace.csv", "events.csv", "metrics.txt")}
+                                      | {"metrics.csv", "notes.txt", "point_7/trace.csv",
+                                         "points/trace.csv"})
+
+
 @pytest.mark.parametrize("command, config", [
     ("run", "centralized_k3.cfg"),
     ("linear-et", "linear_et_2d.cfg"),
