@@ -34,6 +34,7 @@ from .config import (
     sweep_points,
 )
 from .engine import (
+    _CSV_BLOCK,
     events_to_csv,
     min_inter_event_bound_centralized,
     convergence_radius_time_trigger,
@@ -273,10 +274,15 @@ def cmd_linear_et(args) -> int:
         samples_per_interval=lcfg.samples_per_interval, t_max=t_max,
     )
     out_dir = Path(args.output_dir or lcfg.output_dir)
+    from ._floatrepr import render  # on first use, as in engine.trace_to_csv
+
     table = np.column_stack((trace.times, trace.states, trace.v_values, trace.s_values))
-    lines = ["t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S"]
-    lines.extend(",".join(map(repr, row)) for row in table.tolist())
-    _write(out_dir / "linear_et_trace.csv", "\n".join(lines) + "\n")
+    cols = table.shape[1]
+    rows = max(1, _CSV_BLOCK // cols)  # whole rows of about _CSV_BLOCK values per call
+    chunks = ["t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S\n"]
+    chunks.extend(render(table[i:i + rows], b"," * (cols - 1) + b"\n")
+                  for i in range(0, len(table), rows))
+    _write(out_dir / "linear_et_trace.csv", "".join(chunks))
     ev_lines = ["l,t,gap"]
     for idx, t in enumerate(trace.event_times):
         gap = t - trace.event_times[idx - 1] if idx else math.nan

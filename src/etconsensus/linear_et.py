@@ -11,16 +11,21 @@ Between updates the extended closed loop y = [x, e] (e = x_ell - x, the
 hold error) runs under F and the comparison state x_s under A_s. Everything
 here propagates the one joint state z = [x, e, x_s] under G = diag(F, A_s),
 restarted at [x_ell, 0, x_ell], by exponentials and powers of G, and reads
-V - S = z^T W z, W = diag(P, 0, -P), off it. The event scan and its
-bisection carry z as a flat vector: the gaps of a grid block are one product
-of the stacked forms (Phi^j)^T W Phi^j of the step powers with z, then with z
-again. Only M(t) and the det scan carry the n columns [I; 0; I].
+V - S = z^T W z, W = diag(P, 0, -P), off it. The forms Q_j = (Phi^j)^T W
+Phi^j of the grid's step powers are symmetric and block-diagonal, and are
+cached packed: the upper triangles of their [x, e] and x_s blocks. Both grid
+scans read a block of grid points off that cache in one product: the event
+scan with the pair products of the vector z, the det scan, for the n columns
+Y carried from [I; 0; I], with the symmetrized column products of Y, which
+gives M = Y^T Q_j Y. The event bisection carries z as a flat vector, the det
+bisection the n columns.
 
 Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -184,16 +189,15 @@ class LyapunovData:
     """Solved Lyapunov matrix P, the extended dynamics F of y = [x, e], and
     the joint generator G = diag(F, A_s) of z = [x, e, x_s].
 
-    The grid scans' step powers Phi^j of exp(G step) and the event scan's
-    gap forms (Phi^j)^T W Phi^j, each stacked into one (block 3n x 3n)
-    matrix (per grid step), and the bisections' halving ladders of G (per
-    bracket width) are kept on the instance.
+    The grid scans' packed gap forms (Phi^j)^T W Phi^j, one row of
+    n(2n+1) + n(n+1)/2 entries per grid point, with Phi^block (per grid step
+    and block), and the bisections' halving ladders of G (per bracket width)
+    are kept on the instance.
     """
 
     p: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    _grid_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _gap_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _halvings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -322,56 +326,73 @@ def _powers(phi: np.ndarray, count: int) -> np.ndarray:
 
 
 def _step_powers(lyap: LyapunovData, step: float, block: int) -> np.ndarray:
-    """Powers exp(G step)^j, j = 1 ... block, stacked into one (block 3n x 3n)
-    matrix, kept on lyap per (step, block)."""
-    key = (step, block)
-    if key not in lyap._grid_powers:
-        dim = lyap.g.shape[0]
-        powers = _powers(matrix_exponential(lyap.g, step), block)
-        lyap._grid_powers[key] = powers.reshape(block * dim, dim)
-    return lyap._grid_powers[key]
+    """Powers exp(G step)^j, j = 1 ... block, as a (block, 3n, 3n) stack."""
+    return _powers(matrix_exponential(lyap.g, step), block)
 
 
-def _grid_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
-    """Joint states at the grid points k step, k = 1 ... grid_points, from z0
-    at t = 0, a block at a time: yields (k0, zs) with zs[j] the state at grid
-    point k0 + j, a vector or a matrix as z0 is. A block of states is one
-    product of the stacked step powers with the state before it.
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """Row and column indices (ia, ib) of the entries a packed form keeps:
+    the upper triangle of its [x, e] block, then that of its x_s block."""
+    iu, ju = np.triu_indices(2 * n)
+    ks, ls = np.triu_indices(n)
+    return np.concatenate([iu, ks + 2 * n]), np.concatenate([ju, ls + 2 * n])
+
+
+def _gap_forms(lyap: LyapunovData, step: float, block: int) -> tuple:
+    """Packed gap forms of the grid steps j = 1 ... block and the leap Phi^block,
+    kept on lyap per (step, block).
+
+    The form Q_j = (Phi^j)^T W Phi^j of the step power Phi^j, W = diag(P, 0,
+    -P), is symmetric and block-diagonal like G and W: its [x, e] block is the
+    Gram form of the x rows of Phi^j and its x_s block minus that of the x_s
+    rows. Row j - 1 of the packed (block, n(2n+1) + n(n+1)/2) matrix holds the
+    upper triangles of the two blocks, in the order of _pairs, with every
+    off-diagonal entry doubled, so that z^T Q_j z = packed[j - 1] @ (z[ia] z[ib]).
     """
-    block = min(_BLOCK, grid_points)
-    dim = lyap.g.shape[0]
-    powers = _step_powers(lyap, step, block)
-    z = z0
-    for k0 in range(1, grid_points + 1, block):
-        count = min(block, grid_points + 1 - k0)
-        zs = (powers[:count * dim] @ z).reshape((count,) + z0.shape)
-        yield k0, zs
-        z = zs[-1]
+    key = (step, block)
+    if key not in lyap._gap_forms:
+        n = lyap.n
+        powers = _step_powers(lyap, step, block)
+        ia, ib = _pairs(n)
+        top = n * (2 * n + 1)  # entries of the [x, e] block's triangle
+        xe = _gram(powers[:, :n, :2 * n], lyap.p)
+        xs = _gram(powers[:, 2 * n:, 2 * n:], lyap.p)
+        forms = np.concatenate(
+            [xe[:, ia[:top], ib[:top]], -xs[:, ia[top:] - 2 * n, ib[top:] - 2 * n]], axis=1)
+        forms *= np.where(ia == ib, 1.0, 2.0)
+        lyap._gap_forms[key] = (forms, powers[-1].copy())
+    return lyap._gap_forms[key]
+
+
+def _pair_products(z: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """What a packed form multiplies: z[ia] z[ib] for a state vector z; for
+    columns Y, the column products Y[ia, a] Y[ib, b] symmetrized in (a, b)
+    and flattened, so that the product gives Y^T Q_j Y."""
+    if z.ndim == 1:
+        return z[ia] * z[ib]
+    u = z[ia, :, None] * z[ib, None, :]
+    return (0.5 * (u + u.transpose(0, 2, 1))).reshape(len(ia), -1)
 
 
 def _gap_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
-    """Gaps f at the grid points k step, k = 1 ... grid_points, from the joint
-    state vector z0 at t = 0, a block at a time: yields (k0, f) with f[j] the
-    gap at grid point k0 + j.
+    """Gaps at the grid points k step, k = 1 ... grid_points, from the joint
+    state z0 at t = 0, a block at a time: yields (k0, f) with f[j] the gap at
+    grid point k0 + j, a number for a state vector z0 and the n x n matrix
+    Y^T Q Y for n columns z0 (M(t) for the columns [I; 0; I]).
 
-    The forms (Phi^j)^T W Phi^j of the step powers Phi^j, W = diag(P, 0,
-    -P), are stacked into one (block 3n x 3n) matrix and kept on lyap per
-    (step, block), so a block's gaps are two products with the state z
-    before it, and Phi^block carries z to the next block.
+    A block's gaps are one product of the packed gap forms (_gap_forms) with
+    the pair products of the state z before the block, and the leap
+    Phi^block carries z to the next block.
     """
     block = min(_BLOCK, grid_points)
-    dim = lyap.g.shape[0]
-    powers = _step_powers(lyap, step, block)
-    key = (step, block)
-    if key not in lyap._gap_forms:
-        forms = _gap(lyap, powers.reshape(block, dim, dim))
-        lyap._gap_forms[key] = forms.reshape(block * dim, dim)
-    forms = lyap._gap_forms[key]
-    leap = powers[-dim:]
+    forms, leap = _gap_forms(lyap, step, block)
+    ia, ib = _pairs(lyap.n)
+    shape = z0.shape[1:] * 2  # () for a vector, (n, n) for n columns
     z = z0
     for k0 in range(1, grid_points + 1, block):
         count = min(block, grid_points + 1 - k0)
-        yield k0, (forms[:count * dim] @ z).reshape(count, dim) @ z
+        yield k0, (forms[:count] @ _pair_products(z, ia, ib)).reshape((count,) + shape)
         z = leap @ z
 
 
@@ -483,11 +504,12 @@ def next_event_time(
     None when no crossing occurs before t_max (in particular for x_ell = 0,
     where the gap is identically zero).
 
-    The joint state is a flat vector: each block's gaps are two products of
-    the stacked gap forms (Phi^j)^T W Phi^j with it, and each bisection step
-    is one matrix-vector product and two quadratic forms. The rounding
-    differs from a sequential one-point-at-a-time scan, so a decision can
-    differ from it only where the gap is within rounding of zero.
+    The joint state is a flat vector: each block's gaps are one product of
+    the packed gap forms (Phi^j)^T W Phi^j with its pair products, and each
+    bisection step is one matrix-vector product and two quadratic forms. The
+    rounding differs from a sequential one-point-at-a-time scan, so a
+    decision can differ from it only where the gap is within rounding of
+    zero.
     """
     _check_positive(t_max, "t_max")
     _check_count(grid_points, "grid_points")
@@ -545,13 +567,15 @@ def min_inter_event_time(
     """Uniform inter-event floor: the first t > 0 where det M(t) = 0.
 
     The sign of det M(t) is evaluated at the grid points k t_max /
-    grid_points, a block of them at a time. The first nonzero sign is the
-    baseline; the first grid point whose sign differs from it closes the
-    bracketing cell, which is bisected to ROOT_TOL, and the midpoint of the
-    final bracket is returned. The sign is taken from slogdet, which stays
-    usable when the determinant magnitude over- or underflows. A root of
-    even order, or two roots inside one grid cell, leaves no sign change and
-    is not seen.
+    grid_points, a block of them at a time: a block's matrices M are one
+    product of the packed gap forms that the event scan reads with the
+    symmetrized column products of the n columns carried from [I; 0; I].
+    The first nonzero sign is the baseline; the first grid point whose sign
+    differs from it closes the bracketing cell, which is bisected to
+    ROOT_TOL, and the midpoint of the final bracket is returned. The sign is
+    taken from slogdet, which stays usable when the determinant magnitude
+    over- or underflows. A root of even order, or two roots inside one grid
+    cell, leaves no sign change and is not seen.
 
     Raises NoRootFound if the determinant never changes sign in the window;
     the caller is responsible for choosing t_max large enough.
@@ -560,8 +584,8 @@ def min_inter_event_time(
     _check_count(grid_points, "grid_points")
     step = t_max / grid_points
     baseline = 0.0
-    for k0, zs in _grid_walk(lyap, _start(np.eye(lyap.n)), step, grid_points):
-        signs = np.linalg.slogdet(_gap(lyap, zs))[0]
+    for k0, m in _gap_walk(lyap, _start(np.eye(lyap.n)), step, grid_points):
+        signs = np.linalg.slogdet(m)[0]
         j, baseline = _first_sign_change(signs, baseline)
         if j >= 0:
             return _floor_in_cell(lyap, k0 + j, step, baseline)
@@ -634,13 +658,13 @@ def simulate_sample_hold(
 
     p = lyap.p
     t = 0.0
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    v_vals: list[float] = []
-    s_vals: list[float] = []
+    # Per segment, the sample times and joint states; the first sample is the
+    # initial joint state [x0, 0, x0], at which V = S.
+    times: list[np.ndarray] = [np.zeros(1)]
+    joint: list[np.ndarray] = [_start(x)[None, :]]
     event_times: list[float] = [0.0]
 
-    first_segment, dt_event = True, 0.0
+    dt_event = 0.0
     while t < horizon - 1e-12:
         if dt_event is not None:  # at an event: restart the joint state, scan
             z = _start(x)
@@ -649,28 +673,28 @@ def simulate_sample_hold(
         seg = min(t_max if dt_event is None else dt_event, horizon - t)
         tau_step = seg / samples_per_interval
         phi_tau = matrix_exponential(lyap.g, tau_step)
-        if first_segment:
-            times.append(t)
-            states.append(x.copy())
-            v_vals.append(float(x @ p @ x))
-            s_vals.append(float(x @ p @ x))
-            first_segment = False
-        for j in range(1, samples_per_interval + 1):
-            z = phi_tau @ z
-            xj, xs = z[:n], z[2 * n:]
-            times.append(t + j * tau_step)
-            states.append(xj)
-            v_vals.append(float(xj @ p @ xj))
-            s_vals.append(float(xs @ p @ xs))
+        zs = np.empty((samples_per_interval, 3 * n))
+        for j in range(samples_per_interval):
+            z = zs[j] = phi_tau @ z
+        times.append(t + np.arange(1, samples_per_interval + 1) * tau_step)
+        joint.append(zs)
         t = t + seg
         x = z[:n].copy()
         if dt_event is not None and seg == dt_event:
             event_times.append(t)
 
+    zs = np.concatenate(joint)
+    states = np.ascontiguousarray(zs[:, :n])
     return SampleHoldTrace(
-        times=np.array(times),
-        states=np.array(states),
-        v_values=np.array(v_vals),
-        s_values=np.array(s_vals),
+        times=np.concatenate(times),
+        states=states,
+        v_values=_quadratic_forms(states, p),
+        s_values=_quadratic_forms(np.ascontiguousarray(zs[:, 2 * n:]), p),
         event_times=tuple(event_times),
     )
+
+
+def _quadratic_forms(xs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^T P x for each row x of xs, as stacked products: the same bits as
+    x @ p @ x one row at a time."""
+    return ((xs[:, None, :] @ p) @ xs[:, :, None])[:, 0, 0]

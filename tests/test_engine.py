@@ -414,28 +414,40 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
         assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr), name)
 
 
-def directed_setup(n, seed, **kwargs):
+def directed_setup(n, seed, horizon=1.0, **kwargs):
     """(graph, law, x0, sim config) of a directed run on a balanced digraph."""
     g = random_balanced_digraph(n, np.random.default_rng(seed), extra_cycles=2)
     x0 = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, n)
     return (g, DirectedStateDependent(sigma_i=0.5), x0,
-            sim_config(g, horizon=1.0, dt=1e-3, **kwargs))
+            sim_config(g, horizon=horizon, dt=1e-3, **kwargs))
 
 
 def balanced_run(n, seed, **kwargs):
     return simulate_triggered(*directed_setup(n, seed, **kwargs))
 
 
+def spanning(n, dt, sample_every=1):
+    """Horizon at which an n-agent trace sampled every sample_every steps of
+    dt spans two render blocks and part of a third, whatever _CSV_BLOCK is."""
+    return (2 * block_rows(n) + 1) * sample_every * dt
+
+
+#: sim_config's default dt on k3: 0.01 / lambda_N, lambda_N = 3.
+K3_DT = 0.01 / 3
+
+
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda k3: balanced_run(10, 3), id="directed-n10"),
-    pytest.param(lambda k3: balanced_run(50, 4), id="directed-n50"),
-    pytest.param(lambda k3: balanced_run(10, 5, sample_every=3), id="directed-every3"),
-    pytest.param(lambda k3: balanced_run(50, 6, sample_every=7), id="directed-every7"),
+    pytest.param(lambda k3: balanced_run(10, 3, horizon=spanning(10, 1e-3)), id="directed-n10"),
+    pytest.param(lambda k3: balanced_run(50, 4, horizon=spanning(50, 1e-3)), id="directed-n50"),
+    pytest.param(lambda k3: balanced_run(10, 5, sample_every=3, horizon=spanning(10, 1e-3, 3)),
+                 id="directed-every3"),
+    pytest.param(lambda k3: balanced_run(50, 6, sample_every=7, horizon=spanning(50, 1e-3, 7)),
+                 id="directed-every7"),
     pytest.param(lambda k3: simulate_triggered(
-        k3, CentralizedNorm(sigma=0.5), [0.3, -0.9, 0.5], sim_config(k3, horizon=5.0)),
-        id="centralized-all"),
+        k3, CentralizedNorm(sigma=0.5), [0.3, -0.9, 0.5],
+        sim_config(k3, horizon=spanning(3, K3_DT))), id="centralized-all"),
     pytest.param(lambda k3: simulate_ideal(
-        k3, [1.0, 0.0, -1.0], sim_config(k3, horizon=5.0)), id="ideal"),
+        k3, [1.0, 0.0, -1.0], sim_config(k3, horizon=spanning(3, K3_DT))), id="ideal"),
 ])
 def test_trace_csv_matches_per_element_formatter_on_runs(make, k3):
     tr = make(k3)

@@ -3,8 +3,8 @@
 A bracket of width w is halved to ROOT_TOL, so its i-th midpoint lies
 w / 2^i past the current left end. Each bisection step advances the state at
 the left end by the ladder level exp(diag(F, A_s) w / 2^i), built once per
-width and kept on the ``LyapunovData`` together with the grid scans' step
-powers.
+width and kept on the ``LyapunovData`` together with the grid scans' packed
+gap forms.
 """
 
 import math
@@ -82,7 +82,7 @@ def test_repeated_calls_reuse_step_powers_and_ladders(monkeypatch):
     # The only exponential left is the state at the crossing cell's left end.
     assert next_event_time(sys_, lyap, x_ell, t_max) == first
     assert len(expm) == 1 and len(pade) == 1 and not builds
-    # The floor scan on the same grid shares the step powers and the ladder.
+    # The floor scan on the same grid shares the packed forms and the ladder.
     expm.clear()
     pade.clear()
     min_inter_event_time(sys_, lyap, t_max)

@@ -22,11 +22,12 @@ from etconsensus import (
     matrix_exponential,
     min_inter_event_time,
     next_event_time,
+    simulate_sample_hold,
     trigger_gap,
 )
 from etconsensus.linear_et import (
-    GRID_POINTS, ROOT_TOL, _BLOCK, _first_crossing, _first_sign_change, _gap_walk,
-    _grid_walk, _start, _state_gap,
+    GRID_POINTS, ROOT_TOL, _BLOCK, _first_crossing, _first_sign_change, _gap, _gap_forms,
+    _gap_walk, _start, _state_gap, _step_powers,
 )
 
 #: A decision may differ from the oracle's only where the oracle's own value
@@ -182,12 +183,12 @@ def plant(n, seed):
     return sys_, lyap, rng.normal(size=n)
 
 
-def firing_plant(n, seed):
-    """The first plant from seed, seed + 1000, ... whose state fires an event;
-    many plants never fire from a given state."""
+def firing_plant(n, seed, window=400.0):
+    """The first plant from seed, seed + 1000, ... whose state fires an event
+    within window / ||F||; many plants never fire from a given state."""
     while True:
         sys_, lyap, x_ell = plant(n, seed)
-        t_event = next_event_time(sys_, lyap, x_ell, 400.0 / float(np.linalg.norm(lyap.f, 2)))
+        t_event = next_event_time(sys_, lyap, x_ell, window / float(np.linalg.norm(lyap.f, 2)))
         if t_event is not None:
             return sys_, lyap, x_ell, t_event
         seed += 1000
@@ -257,16 +258,42 @@ def test_root_next_to_block_boundary(seed, cell):
     assert check_floor(sys_, lyap, t_max, grid_points) is not None
 
 
+def grid_states(lyap, z0, step, grid_points):
+    """Joint states at the grid points k step, k = 1 ... grid_points, from z0
+    at t = 0, a block at a time, as the scans' blocks fall: yields (k0, zs)
+    with zs[j] the state at grid point k0 + j, a vector or a matrix as z0 is,
+    and the dense forms (Phi^j)^T W Phi^j of the block. A block of states is
+    the step powers times the state before it."""
+    block = min(_BLOCK, grid_points)
+    powers = _step_powers(lyap, step, block)
+    forms = _gap(lyap, powers)
+    z = z0
+    for k0 in range(1, grid_points + 1, block):
+        count = min(block, grid_points + 1 - k0)
+        zs = powers[:count] @ z
+        yield k0, zs, forms[:count]
+        z = zs[-1]
+
+
+def v_plus_s(lyap, z):
+    """x^T P x + x_s^T P x_s of joint states, the terms whose difference is
+    the gap: the scale of its rounding. For n columns, the matrix of these
+    forms between columns."""
+    n = lyap.n
+    x, xs = z[..., :n, :], z[..., 2 * n:, :]
+    return np.swapaxes(x, -1, -2) @ lyap.p @ x + np.swapaxes(xs, -1, -2) @ lyap.p @ xs
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("grid_points", [_BLOCK - 1, 3 * _BLOCK + 7])
 def test_gap_forms_match_gaps_of_the_grid_states(seed, grid_points):
     """The event scan's gaps z^T (Phi^j)^T W Phi^j z, with the state carried
-    by Phi^block between blocks, against V - S of the grid walk's states."""
+    by Phi^block between blocks, against V - S of the grid states."""
     sys_, lyap, x_ell = plant(2 + seed, seed)
     z0 = _start(x_ell)
     step = 30.0 / float(np.linalg.norm(lyap.f, 2)) / grid_points
     fused = list(_gap_walk(lyap, z0, step, grid_points))
-    states = list(_grid_walk(lyap, z0, step, grid_points))
+    states = [(k0, zs) for k0, zs, _ in grid_states(lyap, z0, step, grid_points)]
     assert [k0 for k0, _ in fused] == [k0 for k0, _ in states]
     n = lyap.n
     for (_, f), (_, zs) in zip(fused, states):
@@ -274,6 +301,128 @@ def test_gap_forms_match_gaps_of_the_grid_states(seed, grid_points):
         # Rounding is relative to V + S, the terms whose difference is f.
         scale = np.array([z[:n] @ lyap.p @ z[:n] + z[2 * n:] @ lyap.p @ z[2 * n:] for z in zs])
         assert np.all(np.abs(f - expected) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("grid_points", [_BLOCK - 1, 3 * _BLOCK + 7])
+def test_packed_walk_matches_dense_forms(n, grid_points):
+    """The packed walk against the dense forms of the grid steps applied to the
+    state before each block: for a state vector the gaps agree within 1e-12
+    (V + S); for the columns [I; 0; I] each entry of M agrees within 1e-12 of
+    its Cauchy-Schwarz scale, and det M has the sign of the dense M's, except
+    where the dense M is singular to within rounding."""
+    sys_, lyap, x_ell = plant(n, 100 + n)
+    step = 30.0 / float(np.linalg.norm(lyap.f, 2)) / grid_points
+    for z0 in (_start(x_ell), _start(np.eye(n))):
+        walked = list(_gap_walk(lyap, z0, step, grid_points))
+        dense = list(grid_states(lyap, z0, step, grid_points))
+        assert [k0 for k0, _ in walked] == [k0 for k0, _, _ in dense]
+        z = z0
+        for (_, got), (_, zs, forms) in zip(walked, dense):
+            if z0.ndim == 1:
+                assert got.shape == (len(zs),)
+                scale = v_plus_s(lyap, zs[:, :, None])[:, 0, 0]
+                assert np.all(np.abs(got - (forms @ z) @ z) <= 1e-12 * scale)
+            else:
+                assert got.shape == (len(zs), n, n)
+                want = z.T @ forms @ z
+                scale = v_plus_s(lyap, zs)
+                diag = np.sqrt(np.diagonal(scale, axis1=1, axis2=2))
+                assert np.all(np.abs(got - want) <= 1e-12 * diag[:, :, None] * diag[:, None, :])
+                signs, want_signs = np.linalg.slogdet(got)[0], np.linalg.slogdet(want)[0]
+                for j in np.flatnonzero(signs != want_signs):
+                    smallest = np.linalg.svd(want[j], compute_uv=False)[-1]
+                    assert smallest <= TIE * np.linalg.norm(scale[j], 2)
+            z = zs[-1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_forms_hold_two_upper_triangles_per_grid_point(n):
+    """Each grid point's packed form keeps the upper triangles of the 2n x 2n
+    [x, e] block and of the n x n x_s block, and nothing of the zero blocks."""
+    _, lyap, _ = plant(n, n)
+    forms, leap = _gap_forms(lyap, 0.01, _BLOCK)
+    assert forms.shape == (_BLOCK, n * (2 * n + 1) + n * (n + 1) // 2)
+    assert leap.shape == (3 * n, 3 * n)
+    assert _gap_forms(lyap, 0.01, _BLOCK)[0] is forms
+
+
+# ---------------------------------------------------------------------------
+# The sample-and-hold loop against the one-sample-per-iteration loop it
+# replaced: the chained states are the same products, and the stacked forms
+# give V and S the bits of the per-row quadratic forms.
+# ---------------------------------------------------------------------------
+
+def sample_hold_oracle(sys_, lyap, x0, horizon, samples_per_interval, t_max):
+    x = np.asarray(x0, dtype=float).copy()
+    n = lyap.n
+    p = lyap.p
+    t = 0.0
+    times, states, v_vals, s_vals = [], [], [], []
+    event_times = [0.0]
+    first_segment, dt_event = True, 0.0
+    while t < horizon - 1e-12:
+        if dt_event is not None:
+            z = _start(x)
+            underflow = float(x @ p @ x) < np.finfo(float).tiny
+            dt_event = None if underflow else next_event_time(sys_, lyap, x, t_max)
+        seg = min(t_max if dt_event is None else dt_event, horizon - t)
+        tau_step = seg / samples_per_interval
+        phi_tau = matrix_exponential(lyap.g, tau_step)
+        if first_segment:
+            times.append(t)
+            states.append(x.copy())
+            v_vals.append(float(x @ p @ x))
+            s_vals.append(float(x @ p @ x))
+            first_segment = False
+        for j in range(1, samples_per_interval + 1):
+            z = phi_tau @ z
+            xj, xs = z[:n], z[2 * n:]
+            times.append(t + j * tau_step)
+            states.append(xj)
+            v_vals.append(float(xj @ p @ xj))
+            s_vals.append(float(xs @ p @ xs))
+        t = t + seg
+        x = z[:n].copy()
+        if dt_event is not None and seg == dt_event:
+            event_times.append(t)
+    return (np.array(times), np.array(states), np.array(v_vals), np.array(s_vals),
+            tuple(event_times))
+
+
+@pytest.mark.parametrize("samples", [1, 5, 20])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sample_hold_matches_per_sample_loop(n, samples):
+    """Bit for bit, over a horizon of 8.5 first gaps, on a plant that fires
+    within half the default window (50 / ||F||). A
+    window of 1.5 first gaps fires events and, where the gaps grow past it,
+    coasts; a window of half the first gap finds no crossing and coasts the
+    whole horizon in windows."""
+    sys_, lyap, x0, t_event = firing_plant(n, 20 + n, window=50.0)
+    for t_max, fires in ((1.5 * t_event, True), (0.5 * t_event, False)):
+        got = simulate_sample_hold(sys_, lyap, x0, 8.5 * t_event, samples, t_max)
+        times, states, v_values, s_values, event_times = sample_hold_oracle(
+            sys_, lyap, x0, 8.5 * t_event, samples, t_max)
+        assert got.event_times == event_times
+        if fires:
+            assert len(event_times) > 1
+        else:
+            assert event_times == (0.0,) and len(got.times) - 1 > samples  # coast windows
+        for name, want in (("times", times), ("states", states), ("v_values", v_values),
+                           ("s_values", s_values)):
+            value = getattr(got, name)
+            assert value.shape == want.shape and value.dtype == want.dtype, name
+            assert np.array_equal(value.view(np.int64), want.view(np.int64)), name
+
+
+def test_sample_hold_below_the_horizon_slack_keeps_the_initial_sample():
+    """A horizon within the loop's 1e-12 slack runs no segment; the trace
+    still holds the initial sample, at which V = S."""
+    sys_, lyap, x0 = plant(2, 0)
+    got = simulate_sample_hold(sys_, lyap, x0, 1e-13)
+    assert got.times.tolist() == [0.0] and got.event_times == (0.0,)
+    assert got.states.tolist() == [x0.tolist()]
+    assert got.v_values.tolist() == got.s_values.tolist() == [float(x0 @ lyap.p @ x0)]
 
 
 # ---------------------------------------------------------------------------
