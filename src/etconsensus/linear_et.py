@@ -10,15 +10,11 @@ times, so the whole schedule is certifiably Zeno-free.
 Between updates the extended closed loop y = [x, e] (e = x_ell - x, the
 hold error) runs under F and the comparison state x_s under A_s. Everything
 here propagates the one joint state z = [x, e, x_s] under G = diag(F, A_s),
-restarted at [x_ell, 0, x_ell], by exponentials and powers of G, and reads
-V - S = z^T W z, W = diag(P, 0, -P), off it. The forms Q_j = (Phi^j)^T W
-Phi^j of the grid's step powers are symmetric and block-diagonal, and are
-cached packed: the upper triangles of their [x, e] and x_s blocks. Both grid
-scans read a block of grid points off that cache in one product: the event
-scan with the pair products of the vector z, the det scan, for the n columns
-Y carried from [I; 0; I], with the symmetrized column products of Y, which
-gives M = Y^T Q_j Y. The event bisection carries z as a flat vector, the det
-bisection the n columns.
+restarted at [x_ell, 0, x_ell], and reads V - S = z^T W z, W = diag(P, 0,
+-P), off it. Both grid scans read runs of grid points in one product off
+packed forms (Phi^j)^T W Phi^j of the step powers; the root in the
+bracketing cell is solved on the cell's Taylor model, whose coefficients
+are packed forms W_k of the walk's own state at the cell's left end.
 
 Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 """
@@ -26,6 +22,7 @@ Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -33,22 +30,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NoRootFound,
-    NotHurwitz,
-    NotSPD,
-)
+from .errors import DimensionMismatch, InvalidParameter, NoRootFound, NotHurwitz, NotSPD
 
-#: Time tolerance for root bisection (event times and det M roots).
+#: Time tolerance of the in-cell roots (event times and det M roots); past
+#: t = 2^17 four ulps of t, which are wider, are used instead (_tol).
 ROOT_TOL = 1e-10
 
 #: Default number of grid points for sign-change scans.
 GRID_POINTS = 10_000
 
-#: Grid points evaluated per batched step of the scans.
-_BLOCK = 256
+#: Grid points per block of kept step powers and forms; the scans read runs of blocks.
+_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +181,16 @@ class LyapunovData:
     """Solved Lyapunov matrix P, the extended dynamics F of y = [x, e], and
     the joint generator G = diag(F, A_s) of z = [x, e, x_s].
 
-    The grid scans' packed gap forms (Phi^j)^T W Phi^j, one row of
-    n(2n+1) + n(n+1)/2 entries per grid point, with Phi^block (per grid step
-    and block), and the bisections' halving ladders of G (per bracket width)
-    are kept on the instance.
+    The grid scans' packed gap forms (Phi^j)^T W Phi^j with the step powers
+    Phi^j (per grid step and block) and the cells' packed Taylor forms
+    W_k / k! (per grid step) are kept on the instance.
     """
 
     p: np.ndarray
     f: np.ndarray
     g: np.ndarray
     _gap_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _halvings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _taylor_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("p", "f", "g"):
@@ -223,11 +214,7 @@ def design(a, b, k, q, r, a_s=None):
     Returns:
         (LinearEtSystem, LyapunovData)
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    k = np.asarray(k, dtype=float)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
+    a, b, k, q, r = (np.asarray(v, dtype=float) for v in (a, b, k, q, r))
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch(f"A must be square, got {a.shape}")
@@ -251,9 +238,8 @@ def design(a, b, k, q, r, a_s=None):
         if a_s.shape != (n, n):
             raise DimensionMismatch(f"A_s must be {n} x {n}, got {a_s.shape}")
         residual = a_s.T @ p + p @ a_s + r
-        if float(np.linalg.norm(residual, "fro")) > 1e-9 * max(
-            1.0, float(np.linalg.norm(r, "fro"))
-        ):
+        scale = max(1.0, float(np.linalg.norm(r, "fro")))
+        if float(np.linalg.norm(residual, "fro")) > 1e-9 * scale:
             raise InvalidParameter("supplied A_s does not solve A_s^T P + P A_s = -R")
     _check_hurwitz(a_s, "A_s")
 
@@ -313,21 +299,33 @@ def gap_matrix(lyap: LyapunovData, t: float) -> np.ndarray:
     return _gap(lyap, matrix_exponential(lyap.g, t) @ _start(np.eye(lyap.n)))
 
 
-def _powers(phi: np.ndarray, count: int) -> np.ndarray:
-    """Stack of phi^1 ... phi^count, built by repeated doubling."""
-    out = np.empty((count,) + phi.shape)
-    out[0] = phi
-    filled = 1
-    while filled < count:
-        take = min(filled, count - filled)
-        out[filled:filled + take] = out[:take] @ out[filled - 1]
-        filled += take
-    return out
+def _expm1(a: np.ndarray) -> np.ndarray:
+    """e^a - I by a Taylor series on a / 2^s, ||a / 2^s||_1 <= 0.5, doubled
+    back by e^{2x} - I = 2 d + d^2: rounded relative to e^a - I, not to I."""
+    s = _squarings(a)
+    x = term = d = a / 2.0 ** s
+    for k in range(2, 20):
+        term = term @ x / k
+        d = d + term
+    for _ in range(s):
+        d = 2.0 * d + d @ d
+    return d
 
 
 def _step_powers(lyap: LyapunovData, step: float, block: int) -> np.ndarray:
-    """Powers exp(G step)^j, j = 1 ... block, as a (block, 3n, 3n) stack."""
-    return _powers(matrix_exponential(lyap.g, step), block)
+    """Powers exp(G step)^j, j = 1 ... block, as a (block, 3n, 3n) stack, doubled
+    up as deviations from I, (I + a)(I + b) - I = a + b + ab, so that the
+    rounding of the step does not compound over the powers."""
+    out, filled = np.empty((block,) + lyap.g.shape), 1
+    out[0] = _expm1(lyap.g * step)
+    while filled < block:
+        take = min(filled, block - filled)
+        new = np.matmul(out[:take], out[filled - 1], out=out[filled:filled + take])
+        new += out[:take]
+        new += out[filled - 1]
+        filled += take
+    out.reshape(block, -1)[:, ::len(lyap.g) + 1] += 1.0  # add I to each power
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,16 +338,11 @@ def _pairs(n: int) -> tuple:
 
 
 def _gap_forms(lyap: LyapunovData, step: float, block: int) -> tuple:
-    """Packed gap forms of the grid steps j = 1 ... block and the leap Phi^block,
-    kept on lyap per (step, block).
-
-    The form Q_j = (Phi^j)^T W Phi^j of the step power Phi^j, W = diag(P, 0,
-    -P), is symmetric and block-diagonal like G and W: its [x, e] block is the
-    Gram form of the x rows of Phi^j and its x_s block minus that of the x_s
-    rows. Row j - 1 of the packed (block, n(2n+1) + n(n+1)/2) matrix holds the
-    upper triangles of the two blocks, in the order of _pairs, with every
-    off-diagonal entry doubled, so that z^T Q_j z = packed[j - 1] @ (z[ia] z[ib]).
-    """
+    """Packed gap forms of the grid steps j = 1 ... block, with the step
+    powers Phi^j, kept on lyap per (step, block). Q_j = (Phi^j)^T W Phi^j is
+    block-diagonal: the Gram forms of the x rows and, negated, of the x_s
+    rows of Phi^j. Row j - 1 holds the upper triangles of the two blocks in
+    _pairs order, off-diagonals doubled: z^T Q_j z = row @ (z[ia] z[ib])."""
     key = (step, block)
     if key not in lyap._gap_forms:
         n = lyap.n
@@ -361,119 +354,174 @@ def _gap_forms(lyap: LyapunovData, step: float, block: int) -> tuple:
         forms = np.concatenate(
             [xe[:, ia[:top], ib[:top]], -xs[:, ia[top:] - 2 * n, ib[top:] - 2 * n]], axis=1)
         forms *= np.where(ia == ib, 1.0, 2.0)
-        lyap._gap_forms[key] = (forms, powers[-1].copy())
+        lyap._gap_forms[key] = (forms, powers)
     return lyap._gap_forms[key]
 
 
+def _taylor_forms(lyap: LyapunovData, step: float) -> tuple:
+    """Taylor model of the gap on a grid cell, per step: (packed W_k / k!,
+    k = 0 ... K; sub-cells m; exp(G step / m) if m > 1). With W_0 = W and
+    W_{k+1} = G^T W_k + W_k G, f(a + s) = sum_k s^k z_a^T W_k z_a / k! and
+    ||W_k|| <= (2 ||G||_2)^k ||W||. Sub-cells of width h keep 2 ||G||_2 h <=
+    1/2, and K is the least degree with (2 ||G||_2 h)^(K+1) / (K+1)! <= 2^-60."""
+    if step not in lyap._taylor_forms:
+        n, g = lyap.n, lyap.g
+        rate = 2.0 * float(np.linalg.norm(g, 2))
+        m = max(1, math.ceil(2.0 * rate * step))
+        x = rate * step / m
+        degree = next(k for k in itertools.count()
+                      if x ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -60)
+        ia, ib = _pairs(n)
+        w = np.zeros_like(g)
+        w[:n, :n], w[2 * n:, 2 * n:] = lyap.p, -lyap.p
+        rows, double = [], np.where(ia == ib, 1.0, 2.0)
+        for k in range(degree + 1):
+            rows.append(w[ia, ib] * (double / math.factorial(k)))
+            w = g.T @ w + w @ g
+        hop = matrix_exponential(g, step / m) if m > 1 else None
+        lyap._taylor_forms[step] = (np.array(rows), m, hop)
+    return lyap._taylor_forms[step]
+
+
 def _pair_products(z: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """What a packed form multiplies: z[ia] z[ib] for a state vector z; for
-    columns Y, the column products Y[ia, a] Y[ib, b] symmetrized in (a, b)
-    and flattened, so that the product gives Y^T Q_j Y."""
-    if z.ndim == 1:
+    """What a packed form multiplies: z[ia] z[ib] for state vectors, the
+    columns of z; for stacks of n columns z[:, r] = Y_r, the products Y_r[ia,
+    a] Y_r[ib, b] symmetrized in (a, b) and flattened (giving Y_r^T Q_j Y_r)."""
+    if z.ndim < 3:
         return z[ia] * z[ib]
-    u = z[ia, :, None] * z[ib, None, :]
-    return (0.5 * (u + u.transpose(0, 2, 1))).reshape(len(ia), -1)
+    u = z[ia, ..., None] * z[ib, ..., None, :]
+    return (0.5 * (u + np.swapaxes(u, -1, -2))).reshape(len(ia), -1)
 
 
 def _gap_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
     """Gaps at the grid points k step, k = 1 ... grid_points, from the joint
-    state z0 at t = 0, a block at a time: yields (k0, f) with f[j] the gap at
-    grid point k0 + j, a number for a state vector z0 and the n x n matrix
-    Y^T Q Y for n columns z0 (M(t) for the columns [I; 0; I]).
-
-    A block's gaps are one product of the packed gap forms (_gap_forms) with
-    the pair products of the state z before the block, and the leap
-    Phi^block carries z to the next block.
-    """
+    state z0 at 0, in runs of 1, 2, 4, ... blocks, each one product of the
+    packed forms with the pair products of its blocks' states (carried by
+    Phi^block): yields (k0, f, cell), f[i] the gap at grid point k0 + i (a
+    number, or Y^T Q Y for n columns z0), cell(i) the state at k0 + i - 1."""
     block = min(_BLOCK, grid_points)
-    forms, leap = _gap_forms(lyap, step, block)
+    forms, powers = _gap_forms(lyap, step, block)
     ia, ib = _pairs(lyap.n)
     shape = z0.shape[1:] * 2  # () for a vector, (n, n) for n columns
-    z = z0
-    for k0 in range(1, grid_points + 1, block):
-        count = min(block, grid_points + 1 - k0)
-        yield k0, (forms[:count] @ _pair_products(z, ia, ib)).reshape((count,) + shape)
-        z = leap @ z
+    z, k0, run = z0, 1, 1
+    while k0 <= grid_points:
+        zs = [z]
+        for _ in range(min(run, -(-(grid_points + 1 - k0) // block)) - 1):
+            zs.append(powers[-1] @ zs[-1])
+        f = (forms @ _pair_products(np.stack(zs, axis=1), ia, ib)).reshape((block, -1) + shape)
+        f = np.swapaxes(f, 0, 1).reshape((-1,) + shape)[:grid_points + 1 - k0]
+        yield k0, f, lambda i, zs=zs: (
+            powers[i % block - 1] @ zs[i // block] if i % block else zs[i // block])
+        z = powers[-1] @ zs[-1]
+        k0, run = k0 + len(zs) * block, 2 * run
 
 
-def _halving_ladder(gen: np.ndarray, width: float, levels: int) -> np.ndarray:
-    """Stack of exp(gen width / 2^i) for i = 1 ... levels.
-
-    One batched Pade pass covers every level of 1-norm at most 0.5; each
-    coarser level is the square of the next finer one, which is what
-    matrix_exponential's scaling and squaring computes for it.
-    """
-    coarse = _squarings(gen * (width / 2.0))
-    args = np.stack([gen * (width / 2.0 ** i) for i in range(1, max(levels, coarse + 1) + 1)])
-    ladder = np.empty_like(args)
-    ladder[coarse:] = _pade(args[coarse:])
-    for i in range(coarse - 1, -1, -1):
-        ladder[i] = ladder[i + 1] @ ladder[i + 1]
-    return ladder[:levels]
+def _tol(t: float) -> float:
+    return max(ROOT_TOL, 4.0 * math.ulp(t))  # see ROOT_TOL
 
 
-def _halvings(lyap: LyapunovData, width: float, levels: int) -> np.ndarray:
-    """At least ``levels`` levels of the halving ladder of G for a bracket of
-    ``width``, kept on lyap per width."""
-    ladder = lyap._halvings.get(width)
-    if ladder is None or len(ladder) < levels:
-        ladder = _halving_ladder(lyap.g, width, levels)
-        lyap._halvings[width] = ladder
-    return ladder
+def _in_cell(lyap: LyapunovData, step: float, kk: int, z: np.ndarray, model) -> Optional[float]:
+    """Root in grid cell kk on its Taylor model from the walk's state z (a
+    vector, or n columns) at its left end: model(rows, base) gives a
+    sub-cell's f(s), negative while the grid's condition holds, and its
+    solver, used where f first ends nonnegative. At a tie with the grid, f
+    nonnegative at a sub-cell's start gives that time (None at t = 0), and
+    f never ending nonnegative the cell's right end less the tolerance."""
+    forms, m, hop = _taylor_forms(lyap, step)
+    for sub in range(m):
+        z = hop @ z if sub else z
+        base = (kk - 1) * step + sub * (step / m)
+        products = _pair_products(z[:, None] if z.ndim > 1 else z, *_pairs(lyap.n))
+        f, solve = model(forms @ products, base)
+        if not f(0.0) < 0.0:
+            return base if base > 0.0 else None
+        end = f(step / m)
+        if end >= 0.0:
+            return base + solve(step / m, end)
+    return kk * step - _tol(kk * step)
 
 
-def _bisect(lyap, lo: float, hi: float, width: float, z0, on_left) -> tuple:
-    """Halve [lo, hi] to ROOT_TOL, keeping lo where on_left holds.
+def _poly(c: list, s: float) -> tuple:
+    """Value and derivative at s of sum_k c[k] s^k, by Horner's rule."""
+    p = dp = 0.0
+    for ck in reversed(c):
+        dp = dp * s + p
+        p = p * s + ck
+    return p, dp
 
-    ``z0`` is the joint state at t = 0 and ``width`` the bracket's nominal
-    width. The state at lo comes from one exponential over lo, not from a
-    grid scan's chained step powers, whose rounding grows with the grid
-    index. The i-th midpoint lies width / 2^i past the current lo, so level
-    i of the halving ladder carries the state there: one matrix product per
-    step. on_left judges that state, and the state moves with lo. Past
-    t = 2^19 one ulp of t exceeds ROOT_TOL, so the halving stops once the
-    bracket is one ulp wide.
-    """
-    state = matrix_exponential(lyap.g, lo) @ z0
-    ladder = _halvings(lyap, width, max(1, math.ceil(math.log2(width / ROOT_TOL)) + 1))
-    i = 0
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+
+def _event_model(rows: np.ndarray, base: float) -> tuple:
+    """The gap's model sum_k c_k s^k, or f(s) / s at t = 0, where f(0) = 0
+    and the constant term is -x^T (Q - R) x; solved by _newton."""
+    c = rows.tolist()[base == 0.0:]
+    return (lambda s: _poly(c, s)[0]), (lambda h, end: _newton(c, h, end, base))
+
+
+def _newton(c: list, width: float, end: float, base: float) -> float:
+    """Offset just below the root in (0, width] of sum_k c[k] s^k, negative
+    at 0 and ``end`` >= 0 at width: Newton from the false-position point,
+    halving the bracket when a step leaves it, until a step is within the
+    tolerance at base + s; then half of it below, where the model is negative."""
+    lo, hi, s = 0.0, width, width * c[0] / (c[0] - end)  # s: false position
+    for _ in range(100):
+        p, dp = _poly(c, s)
+        lo, hi = (s, hi) if p < 0.0 else (lo, s)
+        new = s - p / dp if dp else -math.inf
+        new = new if lo <= new <= hi else 0.5 * (lo + hi)
+        moved, s = abs(new - s), new
+        if moved <= _tol(base + s):
             break
-        if i == len(ladder):
-            # Rounding of lo and hi left the bracket wider than width / 2^i.
-            ladder = _halvings(lyap, width, 2 * i)
-        moved = ladder[i] @ state
-        if on_left(moved):
-            lo, state = mid, moved
+    s = s - 0.5 * _tol(base + s) if base or s > _tol(s) else 0.5 * s
+    while not _poly(c, s)[0] < 0.0:
+        s = lo + 0.5 * (s - lo)
+    return s
+
+
+def _floor_model(baseline: float, rows: np.ndarray, base: float) -> tuple:
+    """det M on the model M(s) = sum_k s^k M_k, signed to be negative on
+    the baseline's side; solved by _illinois."""
+    n, degrees = math.isqrt(rows.shape[1]), np.arange(len(rows))
+    def f(s):
+        return -baseline * float(np.linalg.det((s ** degrees @ rows).reshape(n, n)))
+    return f, lambda h, end: _illinois(f, h, end, base)
+
+
+def _illinois(f, width: float, end: float, base: float) -> float:
+    """Offset of the root in (0, width] of f, negative at 0 and ``end`` >= 0
+    at width, by regula falsi with the Illinois rule: the midpoint of a
+    final bracket at most the tolerance at base + s wide."""
+    lo, hi, f_lo, f_hi, side = 0.0, width, f(0.0), end, 0
+    for _ in range(100):
+        if hi - lo <= _tol(base + hi):
+            break
+        s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        s = s if lo < s < hi else 0.5 * (lo + hi)
+        v = f(s)
+        if v < 0.0:
+            lo, f_lo, f_hi, side = s, v, f_hi * (0.5 if side < 0 else 1.0), -1
         else:
-            hi = mid
-        i += 1
-    return lo, hi
+            hi, f_hi, f_lo, side = s, v, f_lo * (0.5 if side > 0 else 1.0), 1
+    return 0.5 * (lo + hi)
 
 
 def _first_crossing(f: np.ndarray, f_prev: float, k0: int) -> int:
-    """Index of the first grid value in a block where the gap turns
+    """Index of the first grid value in a run where the gap turns
     nonnegative, or -1. ``f[j]`` is the gap at grid point ``k0 + j`` and
-    ``f_prev`` the one before the block; point 1 counts as a crossing
+    ``f_prev`` the one before the run; point 1 counts as a crossing
     because f(0) = 0."""
     nonneg = f >= 0.0
     if not nonneg.any():
         return -1
     prev = np.concatenate(([f_prev], f[:-1]))
-    k = k0 + np.arange(len(f))
-    cross = nonneg & ((prev < 0.0) | (k == 1))
+    cross = nonneg & ((prev < 0.0) | (k0 + np.arange(len(f)) == 1))
     return int(np.argmax(cross)) if cross.any() else -1
 
 
 def _first_sign_change(signs: np.ndarray, baseline: float) -> tuple:
-    """Baseline rule over one block of determinant signs.
-
-    While the baseline is 0 the first nonzero sign sets it; after that the
-    first sign that differs from it (zero included) ends the scan. Returns
-    the index of that sign (or -1) and the baseline.
-    """
+    """Baseline rule over one run of determinant signs: while the baseline is
+    0 the first nonzero sign sets it; after that the first sign that differs
+    from it (zero included) ends the scan. Returns its index (or -1) and the
+    baseline."""
     first = 0
     if baseline == 0.0:
         nonzero = np.flatnonzero(signs)
@@ -496,20 +544,15 @@ def next_event_time(
 ) -> Optional[float]:
     """First elapsed time in (0, t_max] where the gap crosses zero from below.
 
-    Evaluates the gap at the grid points k t_max / grid_points, a block of
-    them at a time, and takes the first k with f_k >= 0 and f_{k-1} < 0 (or
-    k = 1, since f(0) = 0). A crossing that turns back inside one grid cell,
-    with no sign change at the grid points, is not seen. The bracketing cell
-    is bisected to ROOT_TOL; returns the left end of the final bracket, or
-    None when no crossing occurs before t_max (in particular for x_ell = 0,
-    where the gap is identically zero).
-
-    The joint state is a flat vector: each block's gaps are one product of
-    the packed gap forms (Phi^j)^T W Phi^j with its pair products, and each
-    bisection step is one matrix-vector product and two quadratic forms. The
-    rounding differs from a sequential one-point-at-a-time scan, so a
-    decision can differ from it only where the gap is within rounding of
-    zero.
+    Evaluates the gap at the grid points k t_max / grid_points, runs of
+    blocks at a time, and takes the first k with f_k >= 0 and f_{k-1} < 0
+    (or k = 1, since f(0) = 0); a crossing that turns back inside one grid
+    cell is not seen. The cell's root is solved by Newton on the cell's
+    Taylor model from the walk's own state at its left end (_in_cell); the
+    result lies half of max(ROOT_TOL, 4 ulp(t)) below it, where the gap is
+    negative. None when no crossing occurs before t_max (as for x_ell = 0).
+    A grid decision can differ from a one-point-at-a-time scan's only where
+    the gap is within rounding of zero.
     """
     _check_positive(t_max, "t_max")
     _check_count(grid_points, "grid_points")
@@ -521,40 +564,12 @@ def next_event_time(
         return None
 
     step = t_max / grid_points
-    z0 = _start(x_ell)
     f_prev = 0.0
-    for k0, f in _gap_walk(lyap, z0, step, grid_points):
-        j = _first_crossing(f, f_prev, k0)
-        if j >= 0:
-            return _event_in_cell(lyap, z0, k0 + j, step)
+    for k0, f, cell in _gap_walk(lyap, _start(x_ell), step, grid_points):
+        i = _first_crossing(f, f_prev, k0)
+        if i >= 0:
+            return _in_cell(lyap, step, k0 + i, cell(i), _event_model)
         f_prev = f[-1]
-    return None
-
-
-def _event_in_cell(lyap, z0, kk: int, step: float) -> Optional[float]:
-    """Bisect grid cell kk for the gap's crossing from the update state z0;
-    None if the gap never turns negative in the first cell."""
-    lo, width = (kk - 1) * step, step
-    if kk == 1:
-        # f(0) = 0 exactly; walk in until the gap is genuinely negative.
-        lo = _negative_start(lyap, z0, step)
-        if lo is None:
-            return None
-        width = step - lo
-    # Left end of the final bracket: within ROOT_TOL of the root with the gap
-    # still negative, so resetting there keeps V <= S one-sided.
-    return _bisect(lyap, lo, kk * step, width, z0,
-                   lambda w: not _state_gap(lyap, w) >= 0.0)[0]
-
-
-def _negative_start(lyap, z0, upper: float) -> Optional[float]:
-    """First of upper / 2, upper / 4, ... (60 halvings) where the gap from
-    z0 is negative, or None."""
-    t = 0.5 * upper
-    for _ in range(60):
-        if _state_gap(lyap, matrix_exponential(lyap.g, t) @ z0) < 0.0:
-            return t
-        t *= 0.5
     return None
 
 
@@ -566,40 +581,25 @@ def min_inter_event_time(
 ) -> float:
     """Uniform inter-event floor: the first t > 0 where det M(t) = 0.
 
-    The sign of det M(t) is evaluated at the grid points k t_max /
-    grid_points, a block of them at a time: a block's matrices M are one
-    product of the packed gap forms that the event scan reads with the
-    symmetrized column products of the n columns carried from [I; 0; I].
-    The first nonzero sign is the baseline; the first grid point whose sign
-    differs from it closes the bracketing cell, which is bisected to
-    ROOT_TOL, and the midpoint of the final bracket is returned. The sign is
-    taken from slogdet, which stays usable when the determinant magnitude
-    over- or underflows. A root of even order, or two roots inside one grid
-    cell, leaves no sign change and is not seen.
-
-    Raises NoRootFound if the determinant never changes sign in the window;
-    the caller is responsible for choosing t_max large enough.
+    The sign of det M (slogdet) is evaluated at the grid points k t_max /
+    grid_points, a run's matrices M one product of the packed forms with the
+    columns carried from [I; 0; I]. The first nonzero sign is the baseline;
+    the first that differs closes the cell, whose root is solved by regula
+    falsi (Illinois) on the model sum_k s^k M_k of the walk's columns at its
+    left end to a bracket of max(ROOT_TOL, 4 ulp(t)), returning its middle.
+    A root of even order, or two in one cell, is not seen. Raises
+    NoRootFound if no sign change occurs; choose t_max large enough.
     """
     _check_positive(t_max, "t_max")
     _check_count(grid_points, "grid_points")
     step = t_max / grid_points
     baseline = 0.0
-    for k0, m in _gap_walk(lyap, _start(np.eye(lyap.n)), step, grid_points):
-        signs = np.linalg.slogdet(m)[0]
-        j, baseline = _first_sign_change(signs, baseline)
-        if j >= 0:
-            return _floor_in_cell(lyap, k0 + j, step, baseline)
-    raise NoRootFound(
-        f"det M(t) does not change sign on (0, {t_max}]; enlarge t_max"
-    )
-
-
-def _floor_in_cell(lyap, kk: int, step: float, baseline: float) -> float:
-    """Bisect grid cell kk for the sign change of det M away from baseline;
-    the state is the columns [I; 0; I]."""
-    lo, hi = _bisect(lyap, (kk - 1) * step, kk * step, step, _start(np.eye(lyap.n)),
-                     lambda w: float(np.linalg.slogdet(_gap(lyap, w))[0]) == baseline)
-    return 0.5 * (lo + hi)
+    for k0, m, cell in _gap_walk(lyap, _start(np.eye(lyap.n)), step, grid_points):
+        i, baseline = _first_sign_change(np.linalg.slogdet(m)[0], baseline)
+        if i >= 0:
+            model = functools.partial(_floor_model, baseline)
+            return _in_cell(lyap, step, k0 + i, cell(i), model)
+    raise NoRootFound(f"det M(t) does not change sign on (0, {t_max}]; enlarge t_max")
 
 
 # ---------------------------------------------------------------------------
