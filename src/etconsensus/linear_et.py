@@ -11,10 +11,9 @@ Between updates the extended closed loop y = [x, e] (e = x_ell - x, the
 hold error) runs under F and the comparison state x_s under A_s. Everything
 here propagates the one joint state z = [x, e, x_s] under G = diag(F, A_s),
 restarted at [x_ell, 0, x_ell], and reads V - S = z^T W z, W = diag(P, 0,
--P), off it. Both grid scans read runs of grid points in one product off
-packed forms (Phi^j)^T W Phi^j of the step powers; the root in the
-bracketing cell is solved on the cell's Taylor model, whose coefficients
-are packed forms W_k of the walk's own state at the cell's left end.
+-P), off it. Both scans walk cells of width 1 / (4 ||G||_2) and clear each
+on the Bernstein coefficients of its degree-15 Taylor model; the first
+root is refined on the model of the first cell not cleared.
 
 Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 """
@@ -22,25 +21,34 @@ Dense linear algebra throughout; intended for desk-scale systems (n <= 10).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NoRootFound, NotHurwitz, NotSPD
 
-#: Time tolerance of the in-cell roots (event times and det M roots); past
-#: t = 2^17 four ulps of t, which are wider, are used instead (_tol).
+#: Time tolerance of the roots (event times and t_min); past t = 2^17 four
+#: ulps of t, which are wider, are used instead (_tol).
 ROOT_TOL = 1e-10
 
-#: Default number of grid points for sign-change scans.
-GRID_POINTS = 10_000
+#: Degree K of the cells' Taylor models: the least with (1/2)^(K+1) / (K+1)!
+#: <= 2^-60, the remainder on a cell of width 1 / (4 ||G||_2).
+_DEGREE = 15
+_POWERS = np.arange(_DEGREE + 1)
 
-#: Grid points per block of kept step powers and forms; the scans read runs of blocks.
-_BLOCK = 128
+#: b_i = sum_{k <= i} C(i, k) / C(K, k) a_k: the Bernstein coefficients on
+#: [0, 1] of the polynomial sum_k a_k s^k of degree K.
+_BERNSTEIN = np.array([[math.comb(i, k) / math.comb(_DEGREE, k) for k in _POWERS]
+                       for i in _POWERS])
+
+#: Cells per block of kept step powers exp(G h)^j. The scans read runs of
+#: 1, 2, 4, ... blocks up to _MAX_RUN cells: uncapped, a run would grow with
+#: t_max ||G||, to gigabytes at n = 6; capped, a scan peaks near 30 MB.
+_BLOCK = 32
+_MAX_RUN = 32 * _BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +189,13 @@ class LyapunovData:
     """Solved Lyapunov matrix P, the extended dynamics F of y = [x, e], and
     the joint generator G = diag(F, A_s) of z = [x, e, x_s].
 
-    The grid scans' packed gap forms (Phi^j)^T W Phi^j with the step powers
-    Phi^j (per grid step and block) and the cells' packed Taylor forms
-    W_k / k! (per grid step) are kept on the instance.
+    The scans' cells (their width, the kept powers of exp(G h) and the
+    Taylor forms) are computed on first use and kept on the instance.
     """
 
     p: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    _gap_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _taylor_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("p", "f", "g"):
@@ -201,6 +206,10 @@ class LyapunovData:
     @property
     def n(self) -> int:
         return self.p.shape[0]
+
+    @functools.cached_property
+    def _cells(self) -> tuple:
+        return _cell_model(self)
 
 
 def design(a, b, k, q, r, a_s=None):
@@ -260,19 +269,6 @@ def _start(x_ell: np.ndarray) -> np.ndarray:
     return np.concatenate([x_ell, np.zeros_like(x_ell), x_ell])
 
 
-def _gram(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a^T P a for each matrix of a stack."""
-    return np.swapaxes(a, -1, -2) @ p @ a
-
-
-def _gap(lyap: LyapunovData, z: np.ndarray) -> np.ndarray:
-    """Matrix x^T P x - x_s^T P x_s of joint states held as the columns of z,
-    or of each matrix of a stack: the columns [I; 0; I] carried to time t
-    give M(t)."""
-    n = lyap.n
-    return _gram(z[..., :n, :], lyap.p) - _gram(z[..., 2 * n:, :], lyap.p)
-
-
 def _state_gap(lyap: LyapunovData, z: np.ndarray) -> float:
     """Gap f = V - S = x^T P x - x_s^T P x_s of one joint state vector z."""
     n = lyap.n
@@ -296,7 +292,9 @@ def trigger_gap(sys: LinearEtSystem, lyap: LyapunovData, t: float, x_ell) -> flo
 def gap_matrix(lyap: LyapunovData, t: float) -> np.ndarray:
     """Matrix M(t) with f(t) = x_ell^T M(t) x_ell; events exist once it is
     singular."""
-    return _gap(lyap, matrix_exponential(lyap.g, t) @ _start(np.eye(lyap.n)))
+    n = lyap.n
+    y = matrix_exponential(lyap.g, t) @ _start(np.eye(n))
+    return y[:n].T @ lyap.p @ y[:n] - y[2 * n:].T @ lyap.p @ y[2 * n:]
 
 
 def _expm1(a: np.ndarray) -> np.ndarray:
@@ -313,186 +311,104 @@ def _expm1(a: np.ndarray) -> np.ndarray:
 
 
 def _step_powers(lyap: LyapunovData, step: float, block: int) -> np.ndarray:
-    """Powers exp(G step)^j, j = 1 ... block, as a (block, 3n, 3n) stack, doubled
-    up as deviations from I, (I + a)(I + b) - I = a + b + ab, so that the
-    rounding of the step does not compound over the powers."""
-    out, filled = np.empty((block,) + lyap.g.shape), 1
-    out[0] = _expm1(lyap.g * step)
-    while filled < block:
-        take = min(filled, block - filled)
-        new = np.matmul(out[:take], out[filled - 1], out=out[filled:filled + take])
-        new += out[:take]
+    """Powers exp(G step)^j, j = 0 ... block, as a (block + 1, 3n, 3n) stack,
+    doubled up as deviations from I, (I + a)(I + b) - I = a + b + ab, so that
+    the rounding of the step does not compound over the powers."""
+    out, filled = np.zeros((block + 1,) + lyap.g.shape), 2
+    out[1] = _expm1(lyap.g * step)
+    while filled <= block:
+        take = min(filled - 1, block + 1 - filled)
+        new = np.matmul(out[1:take + 1], out[filled - 1], out=out[filled:filled + take])
+        new += out[1:take + 1]
         new += out[filled - 1]
         filled += take
-    out.reshape(block, -1)[:, ::len(lyap.g) + 1] += 1.0  # add I to each power
+    out.reshape(block + 1, -1)[:, ::len(lyap.g) + 1] += 1.0  # add I to each power
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple:
-    """Row and column indices (ia, ib) of the entries a packed form keeps:
-    the upper triangle of its [x, e] block, then that of its x_s block."""
-    iu, ju = np.triu_indices(2 * n)
-    ks, ls = np.triu_indices(n)
-    return np.concatenate([iu, ks + 2 * n]), np.concatenate([ju, ls + 2 * n])
-
-
-def _gap_forms(lyap: LyapunovData, step: float, block: int) -> tuple:
-    """Packed gap forms of the grid steps j = 1 ... block, with the step
-    powers Phi^j, kept on lyap per (step, block). Q_j = (Phi^j)^T W Phi^j is
-    block-diagonal: the Gram forms of the x rows and, negated, of the x_s
-    rows of Phi^j. Row j - 1 holds the upper triangles of the two blocks in
-    _pairs order, off-diagonals doubled: z^T Q_j z = row @ (z[ia] z[ib])."""
-    key = (step, block)
-    if key not in lyap._gap_forms:
-        n = lyap.n
-        powers = _step_powers(lyap, step, block)
-        ia, ib = _pairs(n)
-        top = n * (2 * n + 1)  # entries of the [x, e] block's triangle
-        xe = _gram(powers[:, :n, :2 * n], lyap.p)
-        xs = _gram(powers[:, 2 * n:, 2 * n:], lyap.p)
-        forms = np.concatenate(
-            [xe[:, ia[:top], ib[:top]], -xs[:, ia[top:] - 2 * n, ib[top:] - 2 * n]], axis=1)
-        forms *= np.where(ia == ib, 1.0, 2.0)
-        lyap._gap_forms[key] = (forms, powers)
-    return lyap._gap_forms[key]
-
-
-def _taylor_forms(lyap: LyapunovData, step: float) -> tuple:
-    """Taylor model of the gap on a grid cell, per step: (packed W_k / k!,
-    k = 0 ... K; sub-cells m; exp(G step / m) if m > 1). With W_0 = W and
-    W_{k+1} = G^T W_k + W_k G, f(a + s) = sum_k s^k z_a^T W_k z_a / k! and
-    ||W_k|| <= (2 ||G||_2)^k ||W||. Sub-cells of width h keep 2 ||G||_2 h <=
-    1/2, and K is the least degree with (2 ||G||_2 h)^(K+1) / (K+1)! <= 2^-60."""
-    if step not in lyap._taylor_forms:
-        n, g = lyap.n, lyap.g
-        rate = 2.0 * float(np.linalg.norm(g, 2))
-        m = max(1, math.ceil(2.0 * rate * step))
-        x = rate * step / m
-        degree = next(k for k in itertools.count()
-                      if x ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -60)
-        ia, ib = _pairs(n)
-        w = np.zeros_like(g)
-        w[:n, :n], w[2 * n:, 2 * n:] = lyap.p, -lyap.p
-        rows, double = [], np.where(ia == ib, 1.0, 2.0)
-        for k in range(degree + 1):
-            rows.append(w[ia, ib] * (double / math.factorial(k)))
-            w = g.T @ w + w @ g
-        hop = matrix_exponential(g, step / m) if m > 1 else None
-        lyap._taylor_forms[step] = (np.array(rows), m, hop)
-    return lyap._taylor_forms[step]
-
-
-def _pair_products(z: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """What a packed form multiplies: z[ia] z[ib] for state vectors, the
-    columns of z; for stacks of n columns z[:, r] = Y_r, the products Y_r[ia,
-    a] Y_r[ib, b] symmetrized in (a, b) and flattened (giving Y_r^T Q_j Y_r)."""
-    if z.ndim < 3:
-        return z[ia] * z[ib]
-    u = z[ia, ..., None] * z[ib, ..., None, :]
-    return (0.5 * (u + np.swapaxes(u, -1, -2))).reshape(len(ia), -1)
-
-
-def _gap_walk(lyap: LyapunovData, z0: np.ndarray, step: float, grid_points: int):
-    """Gaps at the grid points k step, k = 1 ... grid_points, from the joint
-    state z0 at 0, in runs of 1, 2, 4, ... blocks, each one product of the
-    packed forms with the pair products of its blocks' states (carried by
-    Phi^block): yields (k0, f, cell), f[i] the gap at grid point k0 + i (a
-    number, or Y^T Q Y for n columns z0), cell(i) the state at k0 + i - 1."""
-    block = min(_BLOCK, grid_points)
-    forms, powers = _gap_forms(lyap, step, block)
-    ia, ib = _pairs(lyap.n)
-    shape = z0.shape[1:] * 2  # () for a vector, (n, n) for n columns
-    z, k0, run = z0, 1, 1
-    while k0 <= grid_points:
-        zs = [z]
-        for _ in range(min(run, -(-(grid_points + 1 - k0) // block)) - 1):
-            zs.append(powers[-1] @ zs[-1])
-        f = (forms @ _pair_products(np.stack(zs, axis=1), ia, ib)).reshape((block, -1) + shape)
-        f = np.swapaxes(f, 0, 1).reshape((-1,) + shape)[:grid_points + 1 - k0]
-        yield k0, f, lambda i, zs=zs: (
-            powers[i % block - 1] @ zs[i // block] if i % block else zs[i // block])
-        z = powers[-1] @ zs[-1]
-        k0, run = k0 + len(zs) * block, 2 * run
+def _cell_model(lyap: LyapunovData) -> tuple:
+    """The scans' cells: (width h = 1 / (4 ||G||_2), the powers exp(G h)^j,
+    j = 0 ... _BLOCK, and the Taylor forms V_k = W_k h^k / k!, k = 0 ... K,
+    side by side in one 3n x 3n(K + 1) matrix). With W_0 = W and W_{k+1} =
+    G^T W_k + W_k G, Y(a + s h)^T W Y(a + s h) = sum_k s^k Y(a)^T V_k Y(a),
+    and ||V_k|| <= ||W|| / (2^k k!) bounds the remainder on a cell below
+    2^-60 ||W|| ||Y(a)||^2."""
+    n, g = lyap.n, lyap.g
+    h = 0.25 / float(np.linalg.norm(g, 2))
+    v = np.zeros_like(g)
+    v[:n, :n], v[2 * n:, 2 * n:] = lyap.p, -lyap.p
+    forms = [v]
+    for k in range(1, _DEGREE + 1):
+        forms.append((g.T @ forms[-1] + forms[-1] @ g) * (h / k))
+    return h, _step_powers(lyap, h, _BLOCK), np.hstack(forms)
 
 
 def _tol(t: float) -> float:
     return max(ROOT_TOL, 4.0 * math.ulp(t))  # see ROOT_TOL
 
 
-def _in_cell(lyap: LyapunovData, step: float, kk: int, z: np.ndarray, model) -> Optional[float]:
-    """Root in grid cell kk on its Taylor model from the walk's state z (a
-    vector, or n columns) at its left end: model(rows, base) gives a
-    sub-cell's f(s), negative while the grid's condition holds, and its
-    solver, used where f first ends nonnegative. At a tie with the grid, f
-    nonnegative at a sub-cell's start gives that time (None at t = 0), and
-    f never ending nonnegative the cell's right end less the tolerance."""
-    forms, m, hop = _taylor_forms(lyap, step)
-    for sub in range(m):
-        z = hop @ z if sub else z
-        base = (kk - 1) * step + sub * (step / m)
-        products = _pair_products(z[:, None] if z.ndim > 1 else z, *_pairs(lyap.n))
-        f, solve = model(forms @ products, base)
-        if not f(0.0) < 0.0:
-            return base if base > 0.0 else None
-        end = f(step / m)
-        if end >= 0.0:
-            return base + solve(step / m, end)
-    return kk * step - _tol(kk * step)
+def _coefficients(ys: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """Taylor coefficients M_k = Y^T V_k Y of the cells whose start states
+    are ys (cells, 3n, c), as a (c, c, K + 1, cells) stack: one product of
+    the states with the forms, then one batched product with the states."""
+    cells, size, c = ys.shape
+    u = np.swapaxes(ys, 1, 2).reshape(cells * c, size) @ forms  # row (cell, d): (V_k Y)[:, d]
+    m = u.reshape(cells, c * (_DEGREE + 1), size) @ ys
+    return m.reshape(cells, c, _DEGREE + 1, c).transpose(1, 3, 2, 0)
 
 
-def _poly(c: list, s: float) -> tuple:
-    """Value and derivative at s of sum_k c[k] s^k, by Horner's rule."""
-    p = dp = 0.0
-    for ck in reversed(c):
-        dp = dp * s + p
-        p = p * s + ck
-    return p, dp
+def _negative_definite(m: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix m[:, :, ...] of a (c, c, ...) stack is
+    negative definite: all pivots of a Cholesky factorization of -m > 0."""
+    a = np.negative(m, order="C")
+    ok = np.ones(a.shape[2:], dtype=bool)
+    for k in range(len(a)):
+        pivot = a[k, k]
+        ok &= pivot > 0.0
+        col = a[k + 1:, k] / np.where(ok, pivot, 1.0)
+        a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
+    return ok
 
 
-def _event_model(rows: np.ndarray, base: float) -> tuple:
-    """The gap's model sum_k c_k s^k, or f(s) / s at t = 0, where f(0) = 0
-    and the constant term is -x^T (Q - R) x; solved by _newton."""
-    c = rows.tolist()[base == 0.0:]
-    return (lambda s: _poly(c, s)[0]), (lambda h, end: _newton(c, h, end, base))
+def _halves(b: np.ndarray) -> tuple:
+    """Bernstein coefficients (last axis) on [0, 1/2] and on [1/2, 1] of the
+    polynomial with coefficients b on [0, 1]: de Casteljau's algorithm."""
+    left, right = [b[..., 0]], [b[..., -1]]
+    while b.shape[-1] > 1:
+        b = 0.5 * (b[..., :-1] + b[..., 1:])
+        left.append(b[..., 0])
+        right.append(b[..., -1])
+    return np.stack(left, axis=-1), np.stack(right[::-1], axis=-1)
 
 
-def _newton(c: list, width: float, end: float, base: float) -> float:
-    """Offset just below the root in (0, width] of sum_k c[k] s^k, negative
-    at 0 and ``end`` >= 0 at width: Newton from the false-position point,
-    halving the bracket when a step leaves it, until a step is within the
-    tolerance at base + s; then half of it below, where the model is negative."""
-    lo, hi, s = 0.0, width, width * c[0] / (c[0] - end)  # s: false position
+def _bracket(hull: np.ndarray, h: float, base: float) -> Optional[tuple]:
+    """First bracket (lo, hi), in cell widths, of the root of a cell's model
+    with Bernstein coefficients hull (c, c, K + 1): halves, left first, until
+    one's end is not negative definite ((lo, lo) at its start) or it is the
+    tolerance at base + hi h wide; None when every half clears."""
+    todo = [(hull, 0.0, 1.0)]
+    while todo:
+        b, lo, hi = todo.pop()
+        nd = _negative_definite(b)
+        if nd.all():
+            continue
+        if not nd[0]:
+            return lo, lo
+        if not nd[-1] or (hi - lo) * h <= _tol(base + hi * h):
+            return lo, hi
+        left, right = _halves(b)
+        mid = 0.5 * (lo + hi)
+        todo += [(right, mid, hi), (left, lo, mid)]
+    return None
+
+
+def _illinois(f, lo: float, hi: float, h: float, base: float) -> tuple:
+    """Final bracket (lo, hi), in cell widths, of the root of f, negative at
+    lo and nonnegative at hi: regula falsi with the Illinois rule, to at most
+    the tolerance at base + hi h."""
+    f_lo, f_hi, side = f(lo), f(hi), 0
     for _ in range(100):
-        p, dp = _poly(c, s)
-        lo, hi = (s, hi) if p < 0.0 else (lo, s)
-        new = s - p / dp if dp else -math.inf
-        new = new if lo <= new <= hi else 0.5 * (lo + hi)
-        moved, s = abs(new - s), new
-        if moved <= _tol(base + s):
-            break
-    s = s - 0.5 * _tol(base + s) if base or s > _tol(s) else 0.5 * s
-    while not _poly(c, s)[0] < 0.0:
-        s = lo + 0.5 * (s - lo)
-    return s
-
-
-def _floor_model(baseline: float, rows: np.ndarray, base: float) -> tuple:
-    """det M on the model M(s) = sum_k s^k M_k, signed to be negative on
-    the baseline's side; solved by _illinois."""
-    n, degrees = math.isqrt(rows.shape[1]), np.arange(len(rows))
-    def f(s):
-        return -baseline * float(np.linalg.det((s ** degrees @ rows).reshape(n, n)))
-    return f, lambda h, end: _illinois(f, h, end, base)
-
-
-def _illinois(f, width: float, end: float, base: float) -> float:
-    """Offset of the root in (0, width] of f, negative at 0 and ``end`` >= 0
-    at width, by regula falsi with the Illinois rule: the midpoint of a
-    final bracket at most the tolerance at base + s wide."""
-    lo, hi, f_lo, f_hi, side = 0.0, width, f(0.0), end, 0
-    for _ in range(100):
-        if hi - lo <= _tol(base + hi):
+        if (hi - lo) * h <= _tol(base + hi * h):
             break
         s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         s = s if lo < s < hi else 0.5 * (lo + hi)
@@ -501,105 +417,110 @@ def _illinois(f, width: float, end: float, base: float) -> float:
             lo, f_lo, f_hi, side = s, v, f_hi * (0.5 if side < 0 else 1.0), -1
         else:
             hi, f_hi, f_lo, side = s, v, f_lo * (0.5 if side > 0 else 1.0), 1
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
-def _first_crossing(f: np.ndarray, f_prev: float, k0: int) -> int:
-    """Index of the first grid value in a run where the gap turns
-    nonnegative, or -1. ``f[j]`` is the gap at grid point ``k0 + j`` and
-    ``f_prev`` the one before the run; point 1 counts as a crossing
-    because f(0) = 0."""
-    nonneg = f >= 0.0
-    if not nonneg.any():
-        return -1
-    prev = np.concatenate(([f_prev], f[:-1]))
-    cross = nonneg & ((prev < 0.0) | (k0 + np.arange(len(f)) == 1))
-    return int(np.argmax(cross)) if cross.any() else -1
+def _first_root(lyap: LyapunovData, y0: np.ndarray, t_max: float) -> Optional[tuple]:
+    """First t in (0, t_max] at which Y(t)^T W Y(t) stops being negative
+    definite, for Y(t) = exp(G t) y0, y0 one column [x, 0, x] or the n
+    columns [I; 0; I] (where M(0) = 0 and M'(0) = -(Q - R)): (lo, hi,
+    spread), the final bracket of the root and, for one column, 64 eps (V +
+    S) / |f'|, by which the gap's rounding can move it. None if there is none.
+
+    The cells are walked in runs of 1, 2, 4, ... blocks up to _MAX_RUN
+    cells: the kept powers times the states at the blocks' starts give the
+    cell-start states, one product with the forms their Taylor coefficients
+    and one with _BERNSTEIN their Bernstein coefficients. A cell whose
+    Bernstein coefficients are all negative definite holds no root of its
+    model (convex hull property); the first cell is judged on M(s) / s. In
+    the first cell not cleared, _bracket finds the root and _illinois
+    refines it on the gap, or on the largest eigenvalue of M, whose sign,
+    unlike that of det M, shows two eigenvalues crossing zero together.
+    """
+    h, powers, forms = lyap._cells
+    cells, c, n = math.ceil(t_max / h), y0.shape[1], lyap.n
+    y, j0, run = y0, 0, _BLOCK
+    while j0 < cells:
+        count = min(run, cells - j0)
+        starts = [y]
+        while len(starts) * _BLOCK < count:
+            starts.append(powers[-1] @ starts[-1])
+        y = powers[count - (len(starts) - 1) * _BLOCK] @ starts[-1]
+        width = min(count, _BLOCK)
+        ys = (powers[:width] @ np.concatenate(starts, axis=1)).reshape(width, 3 * n, -1, c)
+        ys = ys.transpose(2, 0, 1, 3).reshape(-1, 3 * n, c)[:count]
+        m = _coefficients(ys, forms)
+        if j0 == 0:  # M(s) / s, as M(0) = 0
+            m[:, :, :-1, 0], m[:, :, -1, 0] = m[:, :, 1:, 0], 0.0
+        hull = _BERNSTEIN @ m
+        for i in np.flatnonzero(~_negative_definite(hull).all(axis=0)):
+            cell = j0 + int(i)
+            base = cell * h
+            bracket = _bracket(hull[..., i], h, base)
+            if bracket is None:
+                continue
+            a = m[..., i]
+
+            def f(s):
+                model = a @ s ** _POWERS
+                return float(model[0, 0] if c == 1 else np.linalg.eigvalsh(model)[-1])
+
+            lo, hi = _illinois(f, *bracket, h, base)
+            if base + lo * h >= t_max:
+                return None
+            spread = 0.0
+            if c == 1 and hi > lo:  # f' over the final bracket (of s f(s) / s in cell 0)
+                rate = abs(hi ** (cell == 0) * f(hi) - lo ** (cell == 0) * f(lo)) / (hi - lo)
+                x, xs = ys[i, :n, 0], ys[i, 2 * n:, 0]
+                scale = float(x @ lyap.p @ x + xs @ lyap.p @ xs)
+                spread = 64.0 * math.ulp(1.0) * scale * h / rate if rate else 0.0
+            return base + lo * h, base + hi * h, spread
+        j0 += count
+        run = min(2 * run, _MAX_RUN)
+    return None
 
 
-def _first_sign_change(signs: np.ndarray, baseline: float) -> tuple:
-    """Baseline rule over one run of determinant signs: while the baseline is
-    0 the first nonzero sign sets it; after that the first sign that differs
-    from it (zero included) ends the scan. Returns its index (or -1) and the
-    baseline."""
-    first = 0
-    if baseline == 0.0:
-        nonzero = np.flatnonzero(signs)
-        if nonzero.size == 0:
-            return -1, 0.0
-        first = int(nonzero[0]) + 1
-        baseline = float(signs[first - 1])
-    off = signs[first:] != baseline
-    if not off.any():
-        return -1, baseline
-    return first + int(np.argmax(off)), baseline
+def next_event_time(sys: LinearEtSystem, lyap: LyapunovData, x_ell,
+                    t_max: float) -> Optional[float]:
+    """First elapsed time in (0, t_max] where the gap V - S turns nonnegative.
 
-
-def next_event_time(
-    sys: LinearEtSystem,
-    lyap: LyapunovData,
-    x_ell,
-    t_max: float,
-    grid_points: int = GRID_POINTS,
-) -> Optional[float]:
-    """First elapsed time in (0, t_max] where the gap crosses zero from below.
-
-    Evaluates the gap at the grid points k t_max / grid_points, runs of
-    blocks at a time, and takes the first k with f_k >= 0 and f_{k-1} < 0
-    (or k = 1, since f(0) = 0); a crossing that turns back inside one grid
-    cell is not seen. The cell's root is solved by Newton on the cell's
-    Taylor model from the walk's own state at its left end (_in_cell); the
-    result lies half of max(ROOT_TOL, 4 ulp(t)) below it, where the gap is
-    negative. None when no crossing occurs before t_max (as for x_ell = 0).
-    A grid decision can differ from a one-point-at-a-time scan's only where
-    the gap is within rounding of zero.
+    The cells of width 1 / (4 ||G||_2) are cleared on their degree-15
+    Taylor models, so a crossing of any width is seen, and the root is
+    refined by regula falsi to max(ROOT_TOL, 4 ulp(t)) (_first_root). The
+    result lies below the root by that tolerance, or by 64 eps (V + S) /
+    |f'| where the gap's rounding moves the root further, so the gap is
+    negative there. None when no crossing occurs before t_max (as for
+    x_ell = 0).
     """
     _check_positive(t_max, "t_max")
-    _check_count(grid_points, "grid_points")
     x_ell = np.asarray(x_ell, dtype=float)
     n = lyap.n
     if x_ell.shape != (n,):
         raise DimensionMismatch(f"x_ell must have length {n}, got {x_ell.shape}")
     if float(np.linalg.norm(x_ell)) == 0.0:
         return None
-
-    step = t_max / grid_points
-    f_prev = 0.0
-    for k0, f, cell in _gap_walk(lyap, _start(x_ell), step, grid_points):
-        i = _first_crossing(f, f_prev, k0)
-        if i >= 0:
-            return _in_cell(lyap, step, k0 + i, cell(i), _event_model)
-        f_prev = f[-1]
-    return None
+    found = _first_root(lyap, _start(x_ell)[:, None], float(t_max))
+    if found is None:
+        return None
+    _, hi, spread = found
+    t = hi - max(_tol(hi), spread)
+    return t if t > 0.0 else 0.5 * hi
 
 
-def min_inter_event_time(
-    sys: LinearEtSystem,
-    lyap: LyapunovData,
-    t_max: float,
-    grid_points: int = GRID_POINTS,
-) -> float:
-    """Uniform inter-event floor: the first t > 0 where det M(t) = 0.
+def min_inter_event_time(sys: LinearEtSystem, lyap: LyapunovData, t_max: float) -> float:
+    """Uniform inter-event floor: the first t > 0 where M(t) stops being
+    negative definite (M(0) = 0, M'(0) = -(Q - R)), a root of det M.
 
-    The sign of det M (slogdet) is evaluated at the grid points k t_max /
-    grid_points, a run's matrices M one product of the packed forms with the
-    columns carried from [I; 0; I]. The first nonzero sign is the baseline;
-    the first that differs closes the cell, whose root is solved by regula
-    falsi (Illinois) on the model sum_k s^k M_k of the walk's columns at its
-    left end to a bracket of max(ROOT_TOL, 4 ulp(t)), returning its middle.
-    A root of even order, or two in one cell, is not seen. Raises
-    NoRootFound if no sign change occurs; choose t_max large enough.
+    The cells are cleared as in next_event_time, and the root is refined by
+    regula falsi on the largest eigenvalue of M to a bracket of
+    max(ROOT_TOL, 4 ulp(t)), whose middle is returned. Raises NoRootFound
+    if there is no root in (0, t_max]; choose t_max large enough.
     """
     _check_positive(t_max, "t_max")
-    _check_count(grid_points, "grid_points")
-    step = t_max / grid_points
-    baseline = 0.0
-    for k0, m, cell in _gap_walk(lyap, _start(np.eye(lyap.n)), step, grid_points):
-        i, baseline = _first_sign_change(np.linalg.slogdet(m)[0], baseline)
-        if i >= 0:
-            model = functools.partial(_floor_model, baseline)
-            return _in_cell(lyap, step, k0 + i, cell(i), model)
-    raise NoRootFound(f"det M(t) does not change sign on (0, {t_max}]; enlarge t_max")
+    found = _first_root(lyap, _start(np.eye(lyap.n)), float(t_max))
+    if found is None:
+        raise NoRootFound(f"M(t) stays negative definite on (0, {t_max}]; enlarge t_max")
+    return 0.5 * (found[0] + found[1])
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +573,7 @@ def simulate_sample_hold(
         raise InvalidParameter(f"x0 must be finite, got {x.tolist()}")
     _check_positive(horizon, "horizon")
     _check_count(samples_per_interval, "samples_per_interval")
-    if t_max is None:
-        t_max = default_t_max(lyap)
+    t_max = default_t_max(lyap) if t_max is None else float(t_max)
     _check_positive(t_max, "t_max")
 
     p = lyap.p

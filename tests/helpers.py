@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from etconsensus import NoRootFound, design, matrix_exponential, min_inter_event_time
-from etconsensus.linear_et import ROOT_TOL
+from etconsensus.linear_et import ROOT_TOL, _start
 
 
 def random_linear_system(rng, n=None):
@@ -155,3 +155,23 @@ def root_resolution(lyap, z0, t):
     values, vectors = np.linalg.eigh(y.T @ w @ y)
     v = vectors[:, np.argmin(np.abs(values))]
     return 64 * np.finfo(float).eps * scale / abs(v @ y.T @ (lyap.g.T @ w + w @ lyap.g) @ y @ v)
+
+
+def assert_event_below_root(lyap, x_ell, t):
+    """In 50 digits, the gap after an update at x_ell is negative at t and
+    nonnegative a tolerance later: t lies in [t* - tol, t*), give or take
+    the root's resolution in double precision (root_resolution)."""
+    z0 = _start(x_ell)
+    res = root_resolution(lyap, z0, t)
+    below, above = decimal_gaps(lyap, z0, [t - res, t + root_tol(t) + res])
+    assert below < 0 <= above, (t, res, float(below), float(above))
+
+
+def assert_floor_at_root(lyap, t_min):
+    """In 50 digits, det M changes sign within a tolerance of t_min, give
+    or take the root's resolution in double precision: where M's other
+    eigenvalues are 1e10 times its crossing rate, rounding alone moves the
+    root by 1e-5."""
+    res = root_tol(t_min) + root_resolution(lyap, _start(np.eye(lyap.n)), t_min)
+    before, after = decimal_det_signs(lyap, [t_min - res, t_min + res])
+    assert before != after, (t_min, res)

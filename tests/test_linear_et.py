@@ -175,6 +175,29 @@ def test_scalar_event_time_is_scale_invariant():
     assert t1 == pytest.approx(t3, abs=1e-9)
 
 
+def double_integrator():
+    """The toolkit of configs/linear_et_2d.cfg."""
+    return design([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[-2.0, -3.0]], np.eye(2),
+                  0.5 * np.eye(2))
+
+
+@pytest.mark.parametrize("kind", [np.float64, np.float32])
+@pytest.mark.parametrize("toolkit", [scalar_toolkit, double_integrator])
+def test_numpy_float_t_max_gives_the_float_results(toolkit, kind):
+    """A numpy scalar t_max (5.0 and 3.0 are exact in float32) gives the
+    results of the same Python float; next_event_time and so
+    simulate_sample_hold used to raise TypeError on one."""
+    sys_, lyap = toolkit()
+    x = np.ones(lyap.n)
+    t = next_event_time(sys_, lyap, x, 5.0)
+    assert t is not None and next_event_time(sys_, lyap, x, kind(5.0)) == t
+    assert min_inter_event_time(sys_, lyap, kind(5.0)) == min_inter_event_time(sys_, lyap, 5.0)
+    want = simulate_sample_hold(sys_, lyap, x, 6.0, t_max=3.0)
+    got = simulate_sample_hold(sys_, lyap, x, 6.0, t_max=kind(3.0))
+    assert len(want.event_times) > 2 and got.event_times == want.event_times
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.v_values, want.v_values)
+
+
 def test_next_event_time_zero_state_never_fires():
     sys_, lyap = scalar_toolkit()
     assert next_event_time(sys_, lyap, [0.0], t_max=5.0) is None
@@ -265,12 +288,8 @@ CALLS = {
     ("simulate_sample_hold", "samples_per_interval", 2.5),
     ("simulate_sample_hold", "t_max", math.inf),
     ("simulate_sample_hold", "t_max", math.nan),
-    ("next_event_time", "grid_points", 0),
-    ("next_event_time", "grid_points", 2.5),
     ("next_event_time", "t_max", math.inf),
     ("next_event_time", "t_max", math.nan),
-    ("min_inter_event_time", "grid_points", 0),
-    ("min_inter_event_time", "grid_points", 2.5),
     ("min_inter_event_time", "t_max", math.inf),
     ("min_inter_event_time", "t_max", math.nan),
 ])
