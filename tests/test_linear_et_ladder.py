@@ -24,7 +24,7 @@ from helpers import (
     assert_event_below_root, assert_floor_at_root, decimal_gaps, floor_with_window,
     random_linear_system, root_resolution, root_tol,
 )
-from test_linear_et_scan import firing_plant, plant
+from test_linear_et_scan import first_cell_plant, firing_plant, plant
 from etconsensus import (
     NoRootFound,
     design,
@@ -106,6 +106,43 @@ def test_narrow_crossing_between_grid_points_is_found():
     assert 2.7507 < t < 2.7508
     assert_event_below_root(lyap, x_ell, t)
     assert decimal_gaps(lyap, _start(x_ell), [2.75076])[0] > 0
+
+
+def next_event_oracle(lyap, x_ell, t_max, grid_points):
+    """The sequential grid scan: the first grid cell k of grid_points over
+    t_max whose right end has a nonnegative gap, after a negative one or as
+    the first, stepping the joint state by one exponential per grid point;
+    None if there is none."""
+    step = t_max / grid_points
+    phi = matrix_exponential(lyap.g, step)
+    z, f_prev = _start(np.asarray(x_ell, dtype=float)), 0.0
+    for k in range(1, grid_points + 1):
+        z = phi @ z
+        f_k = _state_gap(lyap, z)
+        if f_k >= 0.0 and (f_prev < 0.0 or k == 1):
+            return k
+        f_prev = f_k
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("grid_points", [1, 7, 10_000])
+def test_first_cell_crossing_matches_sequential_oracle(seed, grid_points, monkeypatch):
+    """A crossing in the walk's first cell, where f(0) = 0, is solved on
+    f(s) / s, whose constant term -x^T (Q - R) x is negative. In windows of
+    1, 7 and 10,000 grid steps of h / 2, the sequential scan puts the
+    crossing in its first grid cell, and the walk solves it in its first
+    cell: the event lies in (0, h / 2), below the 50-digit root by at most
+    the tolerance."""
+    sys_, lyap, x_ell = first_cell_plant(seed)
+    step = 0.5 * lyap._cells[0]
+    t_max = step * grid_points
+    assert next_event_oracle(lyap, x_ell, t_max, grid_points) == 1
+    solves = count_calls(monkeypatch, "_illinois")
+    t = next_event_time(sys_, lyap, x_ell, t_max)
+    assert 0.0 < t < step
+    assert len(solves) == 1 and solves[0][-1] == 0.0  # base: the first cell
+    assert_event_below_root(lyap, x_ell, t)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -68,21 +68,27 @@ def test_no_crossing_and_missing_root(seed):
     assert min_inter_event_time(sys_, lyap, t_min + root_tol(t_min)) == t_min
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_crossing_in_first_cell(seed):
+def first_cell_plant(seed):
     """With R = Q - delta I, M'(0) = -(Q - R) = -delta I is small, and M
-    stops being negative definite within half a cell; the state fires there
-    along the top eigenvector of M(h / 2). The first cell is judged on
-    M(s) / s (M(0) = 0); the event and the floor pass the 50-digit oracle."""
+    stops being negative definite within half a cell: a plant and the top
+    eigenvector of M(h / 2), along which the gap is positive at h / 2."""
     rng = np.random.default_rng(seed)
     n = 2 + seed % 2
     sys_, _ = random_linear_system(rng, n)
     delta = 1e-4 * float(np.linalg.eigvalsh(sys_.q)[0])
     sys_, lyap = design(sys_.a, sys_.b, sys_.k, sys_.q, sys_.q - delta * np.eye(n))
-    h = lyap._cells[0]
-    values, vectors = np.linalg.eigh(gap_matrix(lyap, 0.5 * h))
+    values, vectors = np.linalg.eigh(gap_matrix(lyap, 0.5 * lyap._cells[0]))
     assert values[-1] > 0.0
-    x_ell = vectors[:, -1]
+    return sys_, lyap, vectors[:, -1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_crossing_in_first_cell(seed):
+    """The state fires within half a cell along the top eigenvector of
+    M(h / 2) (first_cell_plant). The first cell is judged on M(s) / s
+    (M(0) = 0); the event and the floor pass the 50-digit oracle."""
+    sys_, lyap, x_ell = first_cell_plant(seed)
+    h = lyap._cells[0]
     t = next_event_time(sys_, lyap, x_ell, 100 * h)
     assert t is not None and 0.0 < t < 0.5 * h
     assert_event_below_root(lyap, x_ell, t)
