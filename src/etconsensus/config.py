@@ -176,7 +176,7 @@ def _parse_graph_section(parser, base: Path) -> WeightedDigraph:
 
 
 def _parse_law_section(parser, g: WeightedDigraph):
-    """(law or None for the ideal controller, the law's config keys)."""
+    """The law, or None for the ideal controller."""
     if not parser.has_section("law"):
         raise ConfigError("missing [law] section")
     section = dict(parser.items("law"))
@@ -193,7 +193,7 @@ def _parse_law_section(parser, g: WeightedDigraph):
     if unknown:
         raise ConfigError(f"law: keys {sorted(unknown)} not valid for type {law_type}")
     if cls is None:
-        return None, keys
+        return None
     for key in required:
         if key not in section:
             raise ConfigError(f"law.{key}: missing")
@@ -206,7 +206,7 @@ def _parse_law_section(parser, g: WeightedDigraph):
         validate_law(law, g)
     except InvalidParameter as exc:
         raise ConfigError(f"law: {exc}")
-    return law, keys
+    return law
 
 
 def _parse_sim_section(parser, g: WeightedDigraph):
@@ -252,7 +252,8 @@ def _parse_run_section(parser, g: WeightedDigraph):
     raw = section["x0"].strip()
     match = _RANDOM_X0.match(raw)
     if match:
-        seed, lo, hi = int(match.group(1)), float(match.group(2)), float(match.group(3))
+        seed = int(match.group(1))
+        lo, hi = _float(match.group(2), "run.x0"), _float(match.group(3), "run.x0")
         if not hi > lo:
             raise ConfigError(f"run.x0: random(...) needs hi > lo, got {raw!r}")
         x0 = random_x0(seed, lo, hi, g.n)
@@ -266,22 +267,27 @@ def _parse_run_section(parser, g: WeightedDigraph):
     return x0, section.get("output_dir", "out")
 
 
-def _parse_sweep_section(parser, law, law_type_keys) -> tuple:
+def _check_sweep_key(key: str, law) -> None:
+    """Raise ConfigError unless key names a field of the law or of [sim]."""
+    if "." not in key:
+        raise ConfigError(f"sweep.{key}: parameter path must be 'law.<field>' or 'sim.<field>'")
+    target, field = key.split(".", 1)
+    if target == "law":
+        if law is None or field not in {f.name for f in dataclasses.fields(law)}:
+            raise ConfigError(f"sweep.{key}: law has no field {field!r}")
+    elif target == "sim":
+        if field not in SIM_KEYS:
+            raise ConfigError(f"sweep.{key}: sim has no field {field!r}")
+    else:
+        raise ConfigError(f"sweep.{key}: target must be 'law' or 'sim'")
+
+
+def _parse_sweep_section(parser, law) -> tuple:
     if not parser.has_section("sweep"):
         return ()
     entries = []
     for key, raw in parser.items("sweep"):
-        if "." not in key:
-            raise ConfigError(f"sweep.{key}: parameter path must be 'law.<field>' or 'sim.<field>'")
-        target, field = key.split(".", 1)
-        if target == "law":
-            if law is None or field not in law_type_keys:
-                raise ConfigError(f"sweep.{key}: law has no field {field!r}")
-        elif target == "sim":
-            if field not in SIM_KEYS:
-                raise ConfigError(f"sweep.{key}: sim has no field {field!r}")
-        else:
-            raise ConfigError(f"sweep.{key}: target must be 'law' or 'sim'")
+        _check_sweep_key(key, law)
         values = _floats(raw, f"sweep.{key}")
         if not values:
             raise ConfigError(f"sweep.{key}: empty value list")
@@ -296,13 +302,13 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = _parser(path)
     g = _parse_graph_section(parser, path.parent)
-    law, law_keys = _parse_law_section(parser, g)
+    law = _parse_law_section(parser, g)
     sim = _parse_sim_section(parser, g)
     x0, output_dir = _parse_run_section(parser, g)
     unknown = set(parser.sections()) - {"graph", "law", "sim", "run", "sweep", "linear_et"}
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
-    sweep = _parse_sweep_section(parser, law, law_keys)
+    sweep = _parse_sweep_section(parser, law)
     return ExperimentConfig(
         graph=g,
         law=law,
@@ -322,14 +328,14 @@ def sweep_points(cfg: ExperimentConfig):
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict):
-    """Rebuild (law, sim) for one sweep point; validates against the graph."""
+    """Rebuild (law, sim) for one sweep point; validates the parameter paths
+    as [sweep] does, and the result against the graph."""
     law, sim_fields = cfg.law, {}
     try:
         for key, value in overrides.items():
+            _check_sweep_key(key, cfg.law)
             target, field = key.split(".", 1)
             if target == "law":
-                if law is None:
-                    raise ConfigError(f"sweep.{key}: the ideal law has no parameters")
                 law = dataclasses.replace(law, **{field: value})
             else:
                 sim_fields[field] = int(value) if field == "sample_every" else float(value)

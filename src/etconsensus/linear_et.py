@@ -56,11 +56,8 @@ _MAX_RUN = 32 * _BLOCK
 # ---------------------------------------------------------------------------
 
 def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
-    """e^{M t} by scaling-and-squaring with a diagonal Pade approximant.
-
-    The argument is halved until its 1-norm is at most 0.5, approximated with
-    the [10/10] Pade form, then squared back; relative accuracy is far below
-    1e-10 for ||M t|| <= 50.
+    """e^{M t} as I + (e^{M t} - I) from _expm1, the package's one
+    exponential kernel.
 
     Raises OverflowError when ||M t|| is too extreme for double precision.
     """
@@ -69,11 +66,7 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
         raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidParameter("matrix entries must be finite")
-    squarings = _squarings(a)
-    result = _pade(a / (2.0 ** squarings))
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    return np.eye(len(a)) + _expm1(a)
 
 
 def _squarings(a: np.ndarray) -> int:
@@ -82,25 +75,6 @@ def _squarings(a: np.ndarray) -> int:
     if norm > 600.0:
         raise OverflowError(f"||M t|| = {norm:.3g} is too large for the exponential")
     return max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-
-
-def _pade(a: np.ndarray) -> np.ndarray:
-    """[10/10] Pade approximant of e^a for a matrix, or a stack of matrices,
-    of 1-norm at most 0.5."""
-    q = 10
-    ident = np.eye(a.shape[-1])
-    coeff = 1.0
-    term = ident
-    numer = ident
-    denom = ident
-    sign = 1.0
-    for j in range(1, q + 1):
-        coeff *= (q - j + 1) / ((2 * q - j + 1) * j)
-        term = term @ a
-        sign = -sign
-        numer = numer + coeff * term
-        denom = denom + (sign * coeff) * term
-    return np.linalg.solve(denom, numer)
 
 
 def _check_positive(value: float, name: str) -> None:

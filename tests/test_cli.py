@@ -99,6 +99,13 @@ def test_run_rejects_non_finite_x0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_names_x0_when_a_random_bound_does_not_parse(tmp_path, capsys):
+    cfg = make_config(tmp_path, "type = state_dependent", x0="random(1, 1e, 2)")
+    assert main(["run", str(cfg)]) == 2
+    assert "run.x0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, law, horizon, dt", [
     ("sim.horizon", "type = state_dependent", "inf", None),
     ("sim.horizon", "type = state_dependent", "nan", None),
@@ -346,6 +353,20 @@ def test_bounds_subcommand(tmp_path, capsys):
     assert main(["bounds", str(metrics), str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "min_inter_event_gap" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("column", ["law.foo", "sim.foo", "nodot"])
+def test_bounds_rejects_a_sweep_column_the_config_lacks(tmp_path, capsys, column):
+    """A metrics.csv parameter column is validated as a [sweep] key is: one
+    the law or [sim] lacks, or one with no dot, exits 2 naming it."""
+    cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5",
+                      extra="\n[sweep]\nlaw.sigma = 0.5\n")
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    metrics = tmp_path / "out" / "metrics.csv"
+    metrics.write_text(metrics.read_text().replace("law.sigma,", f"{column},", 1))
+    capsys.readouterr()
+    assert main(["bounds", str(metrics), str(cfg)]) == 2
+    assert f"sweep.{column}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))

@@ -66,7 +66,7 @@ def test_ideal_p2_is_exact(p2):
 
 
 def test_ideal_accepts_steps_beyond_the_exponential_range(k3):
-    """||L dt|| = 800 exceeds what one Pade exponential accepts; the step
+    """||L dt|| = 800 exceeds what one exponential accepts; the step
     is taken as a power of a shorter one, and still decays to the mean."""
     cfg = SimConfig(dt=200.0, horizon=1000.0)
     tr = simulate_ideal(k3, [1.0, 0.0, -1.0], cfg)

@@ -15,9 +15,11 @@ from etconsensus import (
     NotSPD,
     design,
     gap_matrix,
+    laplacian,
     matrix_exponential,
     min_inter_event_time,
     next_event_time,
+    random_balanced_digraph,
     simulate_sample_hold,
     solve_lyapunov,
     trigger_gap,
@@ -100,6 +102,18 @@ def test_expm_matches_scipy(rng):
         ours = matrix_exponential(m, t)
         ref = scipy.linalg.expm(m * t)
         assert np.allclose(ours, ref, rtol=1e-10, atol=1e-12 * np.linalg.norm(ref))
+
+
+def test_expm_matches_scipy_on_long_consensus_flows(rng):
+    """exp(-L t) of balanced digraphs with 50 < ||L t||_1 <= 590, past the
+    range above but inside the overflow guard; every entry is positive, and
+    each is accurate relative to itself."""
+    for _ in range(60):
+        lap = laplacian(random_balanced_digraph(int(rng.integers(2, 9)), rng))
+        t = float(rng.uniform(50.0, 590.0)) / np.linalg.norm(lap, 1)
+        ours = matrix_exponential(-lap, t)
+        ref = scipy.linalg.expm(-lap * t)
+        assert np.max(np.abs(ours - ref) / ref) <= 1e-12
 
 
 @given(t=st.floats(-2.0, 2.0), s=st.floats(-2.0, 2.0), seed=st.integers(0, 1000))

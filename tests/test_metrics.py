@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from etconsensus import (
     EventRecord,
     InsufficientDecay,
     StateDependent,
+    WeightedDigraph,
     disagreement,
     fit_decay_rate,
     inter_event_stats,
@@ -20,6 +22,7 @@ from etconsensus import (
     simulate_triggered,
     spectral_info,
 )
+from etconsensus.config import random_x0
 from etconsensus.engine import ALL_AGENTS
 from etconsensus.metrics import (
     compute_run_metrics,
@@ -69,6 +72,23 @@ def test_fit_decay_rate_ideal(p2, k3):
     assert fit_decay_rate(tr) == pytest.approx(2.0, rel=0.05)
     tr = simulate_ideal(k3, [1.0, 0.0, -1.0], sim_config(k3, horizon=7.0))
     assert fit_decay_rate(tr) == pytest.approx(3.0, rel=0.05)
+
+
+def test_fit_decay_rate_ideal_one_mode_graphs(k3, cycle3):
+    """On unit K3, unit K4 and the unit directed 3-cycle the disagreement
+    decays as exactly one exponential, at lambda_2, so the fit over
+    30 / lambda_2 recovers lambda_2 to the accuracy of the steps exp(-L dt),
+    at the default dt and at 1e-3, 1e-2 and 0.05. x0 is that of
+    configs/ideal_k3.cfg."""
+    k4 = WeightedDigraph.from_edges(
+        4, [(i, j, 1.0) for i, j in itertools.combinations(range(4), 2)], directed=False
+    )
+    for g in (k3, k4, cycle3):
+        lam2 = spectral_info(g).lambda2
+        for dt in (None, 1e-3, 1e-2, 0.05):
+            tr = simulate_ideal(g, random_x0(7, -1.0, 1.0, g.n),
+                                sim_config(g, horizon=30.0 / lam2, dt=dt))
+            assert fit_decay_rate(tr) == pytest.approx(lam2, rel=1e-7, abs=0.0)
 
 
 def test_fit_decay_rate_requires_decay(p2):
