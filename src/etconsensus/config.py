@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import SimConfig, sim_config
 from .errors import ConfigError, InvalidParameter
-from .graph import WeightedDigraph, load_graph
+from .graph import WeightedDigraph, graph_from_fields, load_graph
 from .triggers import (
     CentralizedNorm,
     DecentralizedState,
@@ -159,15 +159,8 @@ def _parse_graph_section(parser, base: Path) -> WeightedDigraph:
             raise ConfigError(
                 f"graph.mode: must be 'directed' or 'undirected', got {section['mode']!r}"
             )
-        n = int(section["n"])
-        edges = []
-        for chunk in section["edges"].split(","):
-            parts = chunk.split()
-            if len(parts) != 3:
-                raise ConfigError(f"graph.edges: each entry must be 'i j w', got {chunk!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        return WeightedDigraph.from_edges(
-            n, edges, directed=section["mode"] == "directed"
+        return graph_from_fields(
+            section["n"], section["mode"] == "directed", section["edges"].split(","), "graph.n"
         )
     except ConfigError:
         raise

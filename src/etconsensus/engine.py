@@ -366,16 +366,7 @@ def _law_rule(g: WeightedDigraph, law: TriggerLaw, norm_l: float) -> _Rule:
     never). Neighbour sums run in ascending neighbour order, so every
     threshold and predicate is the scalar evaluator's float in ``triggers``.
     """
-    n, w = g.n, g.weights
-
-    def table(keys, values):  # values grouped by their key, 0..n-1, in order
-        ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
-        return [values[a:b] for a, b in zip([0] + ends, ends)]
-
-    rows, cols = np.nonzero(w > 0.0)
-    nbrs, wts = table(rows, cols.tolist()), table(rows, w[rows, cols].tolist())
-    order = np.argsort(cols, kind="stable")
-    inn = table(cols[order], rows[order].tolist())
+    n, (nbrs, wts, inn) = g.n, g.neighbors
     singles = [(i,) for i in range(n)]
 
     def refresh_velocity(i, xhat):
@@ -478,7 +469,7 @@ def _law_rule(g: WeightedDigraph, law: TriggerLaw, norm_l: float) -> _Rule:
         return _Rule(singles, two_hops, affected, alone, refresh_velocity, holds, delay)
 
     sigma, weigh = sigma.tolist(), not isinstance(law, StateDependent)  # directed, periodic
-    scale = (4.0 * w.sum(axis=1)).tolist() if weigh else [4.0 * len(js) for js in nbrs]
+    scale = (4.0 * g.out_degrees).tolist() if weigh else [4.0 * len(js) for js in nbrs]
 
     def refresh(i, xhat):
         xi, total, spread = xhat[i], 0.0, 0.0

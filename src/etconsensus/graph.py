@@ -6,14 +6,18 @@ algebraic connectivity ``lambda_2`` and the largest eigenvalue ``lambda_n`` of
 the symmetrized Laplacian, and the induced 2-norm of the Laplacian itself.
 This module builds graphs from edge lists or files, checks the structural
 preconditions (strong connectivity, weight balance), and computes those
-numbers.
+numbers. It is also the one place that derives each vertex's neighbours from
+the weights (:attr:`WeightedDigraph.neighbors`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import functools
+import math
+import operator
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,19 +32,27 @@ BALANCE_TOL = 1e-12
 CONNECTIVITY_TOL = 1e-10
 
 
+class Neighbors(NamedTuple):
+    """Per-vertex neighbour lists, each in ascending vertex id."""
+
+    out: tuple  # out[i]: the j with w_ij > 0
+    out_weights: tuple  # out_weights[i]: those w_ij, in the same order
+    into: tuple  # into[j]: the i with w_ij > 0
+
+
 @dataclass(frozen=True)
 class WeightedDigraph:
     """Vertex/edge/weight structure; ``weights[i, j] > 0`` is an edge i -> j.
 
     Weights are nonnegative with a zero diagonal; undirected graphs are stored
     as symmetric weight matrices. Instances are immutable and safe to share
-    across threads; :func:`spectral_info` keeps its result on the instance.
+    across threads; the neighbour table and :func:`spectral_info` are computed
+    once per instance and kept on it.
     """
 
     n: int
     weights: np.ndarray
     directed: bool = True
-    _spectral: SpectralInfo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -63,28 +75,65 @@ class WeightedDigraph:
     def from_edges(cls, n: int, edges, directed: bool = True) -> "WeightedDigraph":
         """Build a graph from ``(i, j, w)`` triples with 0-based vertex ids.
 
-        Rejects self-loops, out-of-range ids, nonpositive weights, and
-        duplicate edges (for undirected graphs, ``(j, i)`` duplicates
-        ``(i, j)``).
+        Rejects non-integer or out-of-range ids, self-loops, weights that are
+        not positive and finite, and duplicate edges (for undirected graphs,
+        ``(j, i)`` duplicates ``(i, j)``).
         """
         w = np.zeros((n, n))
-        seen: set[tuple[int, int]] = set()
         for i, j, wij in edges:
-            i, j = int(i), int(j)
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise ValueError(f"edge ({i!r}, {j!r}): vertex ids must be integers")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}): vertex id out of range for n={n}")
             if i == j:
                 raise ValueError(f"edge ({i}, {j}): self-loop")
-            if float(wij) <= 0.0:
-                raise ValueError(f"edge ({i}, {j}): weight must be positive, got {wij}")
-            key = (i, j) if directed else (min(i, j), max(i, j))
-            if key in seen:
+            wij = float(wij)
+            if not (0.0 < wij < math.inf):
+                raise ValueError(f"edge ({i}, {j}): weight must be positive and finite, got {wij}")
+            if w[i, j]:  # an earlier edge set it; undirected, (j, i) sets both
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add(key)
-            w[i, j] = float(wij)
+            w[i, j] = wij
             if not directed:
-                w[j, i] = float(wij)
+                w[j, i] = wij
         return cls(n=n, weights=w, directed=directed)
+
+    @functools.cached_property
+    def neighbors(self) -> Neighbors:
+        """Out-neighbours with their weights, and in-neighbours, of every
+        vertex. The engine's per-agent sums run over these tuples in their
+        ascending order, which fixes the bits of each threshold and
+        velocity."""
+        edge = self.weights > 0.0
+
+        def by_row(mask, values):  # mask's row-major nonzero values, one tuple per row
+            ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+            return tuple(tuple(values[a:b]) for a, b in zip([0, *ends], ends))
+
+        return Neighbors(
+            out=by_row(edge, np.nonzero(edge)[1].tolist()),
+            out_weights=by_row(edge, self.weights[edge].tolist()),
+            into=by_row(edge.T, np.nonzero(edge.T)[1].tolist()),
+        )
+
+    @functools.cached_property
+    def _spectral(self) -> SpectralInfo:
+        # Nothing is kept when a check raises, so a failing graph raises again.
+        if not is_weight_balanced(self):
+            raise NotBalanced("graph is not weight-balanced; out- and in-degrees differ")
+        lap = laplacian(self)
+        sym_eigs = np.linalg.eigvalsh(0.5 * (lap + lap.T))
+        if self.n < 2 or sym_eigs[1] <= CONNECTIVITY_TOL * _degree_scale(self):
+            raise NotConnected(
+                "zero eigenvalue of the symmetrized Laplacian is not simple; "
+                "graph is not strongly connected"
+            )
+        return SpectralInfo(
+            lambda2=float(sym_eigs[1]),
+            lambda_n=float(sym_eigs[-1]),
+            laplacian_norm=float(np.linalg.norm(lap, 2)),
+        )
 
     @property
     def out_degrees(self) -> np.ndarray:
@@ -94,13 +143,10 @@ class WeightedDigraph:
     def in_degrees(self) -> np.ndarray:
         return self.weights.sum(axis=0)
 
-    def out_neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.weights[i] > 0.0)
-
     @property
     def max_out_neighbors(self) -> int:
         """Largest out-neighborhood cardinality over all vertices."""
-        return int(np.max((self.weights > 0.0).sum(axis=1)))
+        return max(map(len, self.neighbors.out))
 
     @property
     def max_weight(self) -> float:
@@ -138,26 +184,20 @@ def is_weight_balanced(g: WeightedDigraph) -> bool:
     return bool(np.max(np.abs(g.out_degrees - g.in_degrees)) <= BALANCE_TOL * _degree_scale(g))
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                queue.append(int(v))
-    return seen
+def _reaches_all(adjacency) -> bool:
+    """True iff vertex 0 reaches every vertex along the ``adjacency`` lists."""
+    seen, queue = {0}, [0]
+    for u in queue:
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(adjacency)
 
 
 def is_strongly_connected(g: WeightedDigraph) -> bool:
     """True iff every vertex reaches every other along positive-weight edges."""
-    if g.n == 1:
-        return True
-    adj = g.weights > 0.0
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
+    return _reaches_all(g.neighbors.out) and _reaches_all(g.neighbors.into)
 
 
 def spectral_info(g: WeightedDigraph) -> SpectralInfo:
@@ -172,26 +212,7 @@ def spectral_info(g: WeightedDigraph) -> SpectralInfo:
             degree, i.e. the zero eigenvalue of the symmetrized Laplacian is
             not simple.
     """
-    if g._spectral is None:
-        object.__setattr__(g, "_spectral", _spectral_summary(g))
     return g._spectral
-
-
-def _spectral_summary(g: WeightedDigraph) -> SpectralInfo:
-    if not is_weight_balanced(g):
-        raise NotBalanced("graph is not weight-balanced; out- and in-degrees differ")
-    lap = laplacian(g)
-    sym_eigs = np.linalg.eigvalsh(0.5 * (lap + lap.T))
-    if g.n < 2 or sym_eigs[1] <= CONNECTIVITY_TOL * _degree_scale(g):
-        raise NotConnected(
-            "zero eigenvalue of the symmetrized Laplacian is not simple; "
-            "graph is not strongly connected"
-        )
-    return SpectralInfo(
-        lambda2=float(sym_eigs[1]),
-        lambda_n=float(sym_eigs[-1]),
-        laplacian_norm=float(np.linalg.norm(lap, 2)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +223,8 @@ def parse_graph(text: str) -> WeightedDigraph:
     """Parse the plain-text graph format.
 
     First content line is ``"<n> directed|undirected"``; each following line
-    is one ``"i j w"`` triple. Blank lines and ``#`` comments are skipped.
-    Rejects w <= 0, i == j, out-of-range ids, and duplicate edges.
+    is one ``"i j w"`` edge entry (see :func:`graph_from_fields`). Blank lines
+    and ``#`` comments are skipped.
     """
     lines = [
         ln.strip()
@@ -217,24 +238,29 @@ def parse_graph(text: str) -> WeightedDigraph:
         raise ValueError(
             f"graph header must be '<n> directed|undirected', got {lines[0]!r}"
         )
+    return graph_from_fields(head[0], head[1] == "directed", lines[1:], "graph header")
+
+
+def graph_from_fields(n: str, directed: bool, entries, count_field: str) -> WeightedDigraph:
+    """Graph from the text of a vertex count (``count_field`` names it in
+    errors) and of ``"i j w"`` edge entries: the one parser of graph files
+    and inline ``[graph]`` sections. An edge error quotes its entry."""
     try:
-        n = int(head[0])
+        count = int(n)
     except ValueError:
-        raise ValueError(f"graph header: vertex count {head[0]!r} is not an integer")
-    directed = head[1] == "directed"
+        count = 0
+    if count < 1:
+        raise ValueError(f"{count_field}: vertex count must be a positive integer, got {n!r}")
     edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    for entry in entries:
+        parts = entry.split()
         if len(parts) != 3:
-            raise ValueError(f"graph edge line must be 'i j w', got {ln!r}")
+            raise ValueError(f"edge entry must be 'i j w', got {entry!r}")
         try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError:
-            raise ValueError(f"graph edge line {ln!r} is not numeric")
-        if i == j:
-            raise ValueError(f"graph edge line {ln!r}: self-loop")
-        edges.append((i, j, w))
-    return WeightedDigraph.from_edges(n, edges, directed=directed)
+            raise ValueError(f"edge entry {entry!r}: expected integer ids i, j and a number w")
+    return WeightedDigraph.from_edges(count, edges, directed=directed)
 
 
 def load_graph(path) -> WeightedDigraph:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,9 +14,11 @@ from etconsensus import (
     TimeDependent,
     WeightedDigraph,
     min_inter_event_bound_centralized,
+    sim_config,
 )
+from etconsensus import cli
 from etconsensus.cli import check_bounds, main
-from etconsensus.config import load_linear_et_config
+from etconsensus.config import load_config, load_linear_et_config
 from etconsensus.linear_et import default_t_max, design, simulate_sample_hold
 from etconsensus.metrics import RunMetrics, parse_metrics_csv
 from helpers import assert_same_csv, random_linear_system
@@ -288,6 +291,50 @@ def test_run_is_byte_deterministic(tmp_path):
     for fname in ("metrics.csv", "trace.csv", "events.csv"):
         a, b = ((tmp_path / d / fname).read_text() for d in ("a", "b"))
         assert_same_csv(a, b, fname)
+
+
+def test_every_way_of_building_a_graph_gives_the_same_run(tmp_path, monkeypatch):
+    """cycle5 from a graph file, an inline [graph], from_edges and a dense
+    weight matrix: equal weights, and byte-identical directed-law runs."""
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 0, 1.5),
+             (0, 2, 0.5), (2, 4, 0.5)]
+    rest = ("\n[law]\ntype = directed_state_dependent\nsigma_i = 0.5\n"
+            "\n[sim]\nhorizon = 10\n\n[run]\nx0 = random(3, -1, 1)\n")
+    (tmp_path / "cycle5.txt").write_text((CONFIG_DIR / "graphs" / "cycle5.txt").read_text())
+    (tmp_path / "file.cfg").write_text("[graph]\nfile = cycle5.txt\n" + rest)
+    inline = ", ".join(f"{i} {j} {w}" for i, j, w in edges)
+    (tmp_path / "inline.cfg").write_text(
+        f"[graph]\nn = 5\nmode = directed\nedges = {inline}\n" + rest)
+    dense = np.zeros((5, 5))
+    for i, j, w in edges:
+        dense[i, j] = w
+    graphs = {
+        "file": load_config(tmp_path / "file.cfg").graph,
+        "inline": load_config(tmp_path / "inline.cfg").graph,
+        "from_edges": WeightedDigraph.from_edges(5, edges),
+        "dense": WeightedDigraph(5, dense),
+    }
+    for g in graphs.values():
+        assert np.array_equal(g.weights, dense) and g.directed
+
+    def with_graph(g):  # the file config, run on g
+        def load(path):
+            cfg = load_config(path)
+            return dataclasses.replace(cfg, graph=g, sim=sim_config(g, horizon=cfg.sim.horizon))
+        return load
+
+    outputs = {}
+    for name, g in graphs.items():
+        cfg = tmp_path / ("inline.cfg" if name == "inline" else "file.cfg")
+        with monkeypatch.context() as m:
+            if name not in ("file", "inline"):
+                m.setattr(cli, "load_config", with_graph(g))
+            assert main(["run", str(cfg), "--quiet", "--output-dir", str(tmp_path / name)]) == 0
+        outputs[name] = {f: (tmp_path / name / f).read_bytes()
+                         for f in ("trace.csv", "events.csv", "metrics.txt", "metrics.csv")}
+    assert outputs["file"]["events.csv"].count(b"\n") > 20
+    for name in graphs:
+        assert outputs[name] == outputs["file"], name
 
 
 def test_run_sweep_outputs(tmp_path):

@@ -129,6 +129,11 @@ def test_load_config_law_types(tmp_path, law_block, law_type):
         (lambda t: t.replace("x0 = 1, -1", "x0 = 1, 2, 3"), "x0"),
         (lambda t: t.replace("horizon = 5", "horizon = -1"), "horizon"),
         (lambda t: t.replace("edges = 0 1 1.0", "edges = 1 1 0.5"), "self-loop"),
+        (lambda t: t.replace("n = 2", "n = two"), "graph.n"),
+        (lambda t: t.replace("n = 2", "n = 2.0"), "graph.n"),
+        (lambda t: t.replace("n = 2", "n = -2"), "graph.n"),
+        (lambda t: t.replace("edges = 0 1 1.0", "edges = 0 1.5 1.0"), "edge entry '0 1.5 1.0'"),
+        (lambda t: t.replace("edges = 0 1 1.0", "edges = 0 1 1.0,"), "edge entry must be 'i j w'"),
         (lambda t: t + "\n[sweep]\nlaw.bogus = 1, 2\n", "bogus"),
         (lambda t: t.replace("sigma_i = 0.5", "sigma_i = 0.5\nextra = 1"), "extra"),
     ],

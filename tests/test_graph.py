@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etconsensus import (
     NotBalanced,
     NotConnected,
+    StateDependent,
     WeightedDigraph,
     is_strongly_connected,
     is_weight_balanced,
@@ -12,6 +16,7 @@ from etconsensus import (
     random_balanced_digraph,
     random_connected_undirected,
     spectral_info,
+    validate_law,
 )
 
 
@@ -142,6 +147,13 @@ def test_from_edges_rejects_bad_edges():
         WeightedDigraph.from_edges(3, [(0, 1, 0.0)])
     with pytest.raises(ValueError, match="out of range"):
         WeightedDigraph.from_edges(3, [(0, 3, 1.0)])
+    with pytest.raises(ValueError, match=r"edge \(0\.7, 1\): vertex ids must be integers"):
+        WeightedDigraph.from_edges(3, [(0.7, 1, 1.0)])
+    with pytest.raises(ValueError, match=r"edge \(0, 2\.0\): vertex ids must be integers"):
+        WeightedDigraph.from_edges(3, [(0, 2.0, 1.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\): weight must be positive and finite"):
+            WeightedDigraph.from_edges(3, [(0, 1, bad)])
 
 
 def test_weight_matrix_validation():
@@ -169,6 +181,12 @@ def test_parse_graph_roundtrip():
         ("3 undirected\n0 1 -2\n", "positive"),
         ("3 undirected\n0 5 1.0\n", "out of range"),
         ("2 undirected\n0 1 1.0\n1 0 1.0\n", "duplicate"),
+        ("-3 directed\n", "graph header: vertex count must be a positive integer, got '-3'"),
+        ("0 directed\n", "graph header: vertex count"),
+        ("two directed\n", "graph header: vertex count"),
+        ("3 undirected\n0 1.5 1.0\n", "edge entry '0 1.5 1.0'"),
+        ("3 undirected\n0 1 w\n", "edge entry '0 1 w'"),
+        ("3 undirected\n0 1 nan\n", r"edge \(0, 1\): weight must be positive and finite"),
     ],
 )
 def test_parse_graph_rejects(text, message):
@@ -235,3 +253,55 @@ def test_spectral_info_is_computed_once_per_graph(monkeypatch, cycle3):
     for _ in range(2):
         with pytest.raises(NotConnected):
             spectral_info(disconnected)
+
+
+# -- the neighbour table against the dense weights ----------------------------
+
+@st.composite
+def digraphs(draw):
+    """Random (di)graphs with n = 1..8 and any edge set, edgeless and
+    disconnected ones included; weights span subnormals to 1e300."""
+    n = draw(st.integers(1, 8))
+    cells = st.lists(st.floats(0.0, 1e300), min_size=n * n, max_size=n * n)
+    w = np.array(draw(cells)).reshape(n, n)
+    w[np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)] = 0.0
+    np.fill_diagonal(w, 0.0)
+    directed = draw(st.booleans())
+    if not directed:
+        w = np.triu(w) + np.triu(w).T
+    return WeightedDigraph(n, w, directed=directed)
+
+
+def dense_strongly_connected(w):
+    """Transitive closure by repeated boolean squaring."""
+    reach = np.eye(len(w), dtype=int) | (w > 0.0)
+    for _ in range(len(w)):
+        reach = ((reach @ reach) > 0).astype(int)
+    return bool(reach.all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_neighbor_table_matches_the_dense_weights(g):
+    w, table = g.weights, g.neighbors
+    for i in range(g.n):
+        js = np.flatnonzero(w[i] > 0.0)
+        assert table.out[i] == tuple(js.tolist())
+        assert np.array_equal(np.array(table.out_weights[i], dtype=float).view(np.uint64),
+                              w[i, js].view(np.uint64))
+        assert table.into[i] == tuple(np.flatnonzero(w[:, i] > 0.0).tolist())
+    assert g.max_out_neighbors == int((w > 0.0).sum(axis=1).max())
+    assert is_strongly_connected(g) == dense_strongly_connected(w)
+
+
+def test_neighbor_table_is_built_once_per_graph(monkeypatch, cycle3):
+    calls = []
+    nonzero = np.nonzero
+    monkeypatch.setattr(np, "nonzero", lambda *a, **k: calls.append(1) or nonzero(*a, **k))
+    first = cycle3.neighbors
+    built = len(calls)
+    assert built > 0
+    assert cycle3.max_out_neighbors == 1 and is_strongly_connected(cycle3)
+    validate_law(StateDependent(sigma_i=0.5), cycle3)
+    assert cycle3.neighbors is first
+    assert len(calls) == built
