@@ -8,9 +8,12 @@ point leaves only its partial events.csv.
 
 Every run replaces its output files: an existing file is unlinked and a new
 one written, so nothing an earlier run left at those names survives. ``run``
-also removes the run files an earlier run left where this one writes none: in
-``point_NNN/`` directories beyond its points, and at the top of a sweep's
-directory.
+removes ``metrics.csv`` before its first point and a point's files before
+simulating it, so a point or run that fails leaves none of an earlier run's.
+It also removes the run files an earlier run left where this one writes none:
+in ``point_NNN/`` directories beyond its points, and at the top of a sweep's
+directory. ``trace.csv`` and ``linear_et_trace.csv`` are written a block of
+rows at a time, as each is rendered; a failure on the way removes the file.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .graph import WeightedDigraph, spectral_info
 from .linear_et import default_t_max, design, min_inter_event_time, simulate_sample_hold
 from .metrics import (
     RunMetrics,
+    _read_cell,
     compute_run_metrics,
     metrics_csv_header,
     metrics_csv_row,
@@ -153,20 +157,42 @@ def _simulate(cfg: ExperimentConfig, law, sim):
     return simulate_triggered(cfg.graph, law, cfg.x0, sim)
 
 
-def _write(path: Path, text: str) -> None:
-    """Replace the file at path with text.
+def _write(path: Path, text: str, append: bool = False) -> None:
+    """Replace the file at path with text; with ``append``, add text to its end.
 
-    Any existing file is unlinked and a new one created, never truncated in
-    place: on filesystems that flush a file truncated and rewritten at close
-    (ext4's auto_da_alloc), rewriting into an existing output directory would
-    wait on that flush, and a rename over the file triggers it too. A hard
-    link or an open reader keeps the old bytes; a symlink at path is
-    replaced by a regular file.
+    To replace, any existing file is unlinked and a new one created, never
+    truncated in place: on filesystems that flush a file truncated and
+    rewritten at close (ext4's auto_da_alloc), rewriting into an existing
+    output directory would wait on that flush, and a rename over the file
+    triggers it too. A hard link or an open reader keeps the old bytes; a
+    symlink at path is replaced by a regular file.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.unlink(missing_ok=True)
-    with open(path, "x", newline="\n") as fh:
+    if not append:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
+    with open(path, "a" if append else "x", newline="\n") as fh:
         fh.write(text)
+
+
+@contextlib.contextmanager
+def _streaming(path: Path):
+    """Yield a function that writes each text it is given to path, as it
+    comes: the first replaces the file (``_write``), later ones append. If the
+    body fails, for any reason, path is removed, so no partial file (nor one an
+    earlier run left) survives."""
+    appending = False
+
+    def write(text: str) -> None:
+        nonlocal appending
+        _write(path, text, append=appending)
+        appending = True
+
+    try:
+        yield write
+    except BaseException:
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
+        raise
 
 
 #: The files ``run`` writes for one run or sweep point, into its directory.
@@ -206,23 +232,27 @@ def cmd_run(args) -> int:
     sweep_keys = tuple(key for key, _ in cfg.sweep)
     rows = []
     aborted = False
+    # Nothing an earlier run left survives a point that does not finish, nor
+    # a run that fails: metrics.csv is written last, a point's files as it
+    # finishes.
+    (out_dir / "metrics.csv").unlink(missing_ok=True)
     for index, (overrides, (law, sim)) in enumerate(zip(points, resolved)):
         _warn_periodic(law, cfg.graph)
         point_dir = out_dir if len(points) == 1 else out_dir / f"point_{index:03d}"
+        for name in _RUN_FILES:
+            (point_dir / name).unlink(missing_ok=True)
         try:
             trace = _simulate(cfg, law, sim)
         except ZenoAbort as exc:
-            # Keep the partial event log, drop what an earlier run left for
-            # this point, and go on with the remaining points.
+            # Keep the partial event log and go on with the remaining points.
             _write(point_dir / "events.csv", events_to_csv(exc.events))
-            for stale in ("trace.csv", "metrics.txt"):
-                (point_dir / stale).unlink(missing_ok=True)
             label = f" {overrides}" if overrides else ""
             print(f"zeno abort{label}: {exc}", file=sys.stderr)
             aborted = True
             continue
         m = compute_run_metrics(trace, sim.zeno_floor)
-        _write(point_dir / "trace.csv", trace_to_csv(trace))
+        with _streaming(point_dir / "trace.csv") as write:
+            trace_to_csv(trace, write)
         _write(point_dir / "events.csv", events_to_csv(trace.events))
         _write(point_dir / "metrics.txt", metrics_kv_block(m))
         extras = tuple(repr(float(overrides[k])) for k in sweep_keys)
@@ -235,8 +265,6 @@ def cmd_run(args) -> int:
     if rows:
         header = metrics_csv_header(sweep_keys)
         _write(out_dir / "metrics.csv", header + "\n" + "\n".join(rows) + "\n")
-    else:
-        (out_dir / "metrics.csv").unlink(missing_ok=True)
     _remove_stale_runs(out_dir, len(points))
     return 3 if aborted else 0
 
@@ -248,9 +276,9 @@ def cmd_run(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     extra_cols, rows = parse_metrics_csv(Path(args.metrics).read_text())
-    for extras, m in rows:
+    for row, (extras, m) in enumerate(rows, 1):
         overrides = {
-            key: float(val) for key, val in zip(extra_cols, extras)
+            key: _read_cell(row, key, val) for key, val in zip(extra_cols, extras)
         }
         law, sim = (cfg.law, cfg.sim) if not overrides else apply_overrides(cfg, overrides)
         if overrides and not args.quiet:
@@ -276,13 +304,18 @@ def cmd_linear_et(args) -> int:
     out_dir = Path(args.output_dir or lcfg.output_dir)
     from ._floatrepr import render  # on first use, as in engine.trace_to_csv
 
-    table = np.column_stack((trace.times, trace.states, trace.v_values, trace.s_values))
-    cols = table.shape[1]
-    rows = max(1, _CSV_BLOCK // cols)  # whole rows of about _CSV_BLOCK values per call
-    chunks = ["t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S\n"]
-    chunks.extend(render(table[i:i + rows], b"," * (cols - 1) + b"\n")
-                  for i in range(0, len(table), rows))
-    _write(out_dir / "linear_et_trace.csv", "".join(chunks))
+    cols = lyap.n + 3
+    rows = max(1, _CSV_BLOCK // cols)  # whole rows of about _CSV_BLOCK values per block
+    # A failed rerun leaves neither file of an earlier run.
+    (out_dir / "linear_et_events.csv").unlink(missing_ok=True)
+    with _streaming(out_dir / "linear_et_trace.csv") as write:
+        head = "t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S\n"
+        for i in range(0, len(trace.times), rows):  # the first sample is t = 0
+            block = slice(i, i + rows)
+            table = np.column_stack((trace.times[block], trace.states[block],
+                                     trace.v_values[block], trace.s_values[block]))
+            write(head + render(table, b"," * (cols - 1) + b"\n"))
+            head = ""
     ev_lines = ["l,t,gap"]
     for idx, t in enumerate(trace.event_times):
         gap = t - trace.event_times[idx - 1] if idx else math.nan

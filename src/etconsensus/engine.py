@@ -673,39 +673,75 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def trace_to_csv(trace: Trace) -> str:
+def trace_to_csv(trace: Trace, write: Optional[Callable[[str], object]] = None) -> Optional[str]:
     """Render the sampled trajectory as CSV: t, x_0.., xhat_0.., V.
 
-    Every value is written as ``repr(float)``; the t, x and V columns of a
-    block at once by ``_floatrepr.render``. The xhat columns (``Trace.xhats``)
-    come from the event log: a row that events reach renders the latest value of
-    each agent they name, other rows reuse the row before's, an ideal run its x.
+    The text is rendered a block of rows at a time. Given ``write``, each
+    block's text (the header with the first) is handed to it as soon as it is
+    rendered and None is returned, so only one block's text is alive at a
+    time; without it the join of the same blocks is returned.
+
+    Every value is written as ``repr(float)``, by ``_floatrepr.render``: the t,
+    x and V columns of a block, and the xhat values that the block's events
+    set, in one call. The xhat columns (``Trace.xhats``) come from the event
+    log: a row that events reach renders the latest value of each agent they
+    name, other rows reuse the row before's, an ideal run its x.
     """
+    blocks = _trace_blocks(trace)
+    if write is None:
+        return "".join(blocks)
+    for text in blocks:
+        write(text)
+    return None
+
+
+def _trace_blocks(trace: Trace):
+    """Yield ``trace_to_csv``'s text, one block of rows at a time."""
     from ._floatrepr import render  # on first use, so that importing the package does not load it
 
     n = trace.n
     times, states, lyap = trace.times, trace.states, trace.lyapunov
-    ideal, updates = not trace.events, dict(_updates(trace))
+    ideal = not trace.events
+    # The rows events reach, the agents each sets, and their values in that
+    # order; ``marks[k]:marks[k + 1]`` is reached[k]'s share of ``values``.
+    reached, agents, values, marks = [], [], [], [0]
+    for row, latest in _updates(trace):
+        reached.append(row)
+        agents.append(tuple(latest))
+        values.extend(latest.values())
+        marks.append(len(values))
+    values = np.array(values, dtype=float)
     seg = ",".join(strs := ["nan"] * n)
-    rows = max(1, _CSV_BLOCK // (n + 2))
+    cols = n + 2
+    rows = max(1, _CSV_BLOCK // cols)
     ends = b"," * n + b"\n\n"  # the row's front (t and x) and V end in a newline
-    header = ",".join(["t", *(f"x_{i}" for i in range(n)), *(f"xhat_{i}" for i in range(n)), "V"])
-    chunks = [header + "\n"]  # one per block: only one block's row strings are alive at a time
+    head = ",".join(["t", *(f"x_{i}" for i in range(n)), *(f"xhat_{i}" for i in range(n)), "V\n"])
+    k = 0
     for start in range(0, len(times), rows):
-        block = slice(start, start + rows)
-        text = render(np.column_stack((times[block], states[block], lyap[block])), ends)
-        parts = iter(text.split("\n"))  # front, V, front, V, ...
-        lines = []
-        for r, front, v in zip(range(start, len(times)), parts, parts):
+        stop = min(start + rows, len(times))
+        at, k = k, bisect.bisect_left(reached, stop, k)  # this block's rows reached[at:k]
+        size = (stop - start) * cols
+        flat = np.empty(size + marks[k] - marks[at])
+        table = flat[:size].reshape(-1, cols)
+        table[:, 0], table[:, -1] = times[start:stop], lyap[start:stop]
+        table[:, 1:-1] = states[start:stop]
+        flat[size:] = values[marks[at]:marks[k]]
+        pieces = render(flat[None, :], ends * len(table) + b"\n" * (len(flat) - size)).split("\n")
+        parts = iter(pieces)  # front, V, front, V, ...
+        fresh = iter(pieces[2 * len(table):])  # then the xhat values, in row order
+        lines = [head]
+        for r, front, v in zip(range(start, stop), parts, parts):
             if ideal:
                 seg = front.partition(",")[2]
-            elif r in updates:
-                for i, value in updates[r].items():
-                    strs[i] = _fmt(value)
-                seg = ",".join(strs)
+            elif at < k and reached[at] == r:
+                for i in agents[at]:
+                    strs[i] = next(fresh)
+                seg, at = ",".join(strs), at + 1
             lines.append(f"{front},{seg},{v}\n")
-        chunks.append("".join(lines))
-    return "".join(chunks)
+        head = ""
+        yield "".join(lines)
+    if head:  # no rows: the header alone
+        yield head
 
 
 def events_to_csv(events) -> str:

@@ -32,6 +32,17 @@ BALANCE_TOL = 1e-12
 CONNECTIVITY_TOL = 1e-10
 
 
+def _vertex_count(n) -> int:
+    """n as an int, if it is a positive integer."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"vertex count n must be a positive integer, got {n!r}")
+    return count
+
+
 class Neighbors(NamedTuple):
     """Per-vertex neighbour lists, each in ascending vertex id."""
 
@@ -40,14 +51,15 @@ class Neighbors(NamedTuple):
     into: tuple  # into[j]: the i with w_ij > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
     """Vertex/edge/weight structure; ``weights[i, j] > 0`` is an edge i -> j.
 
     Weights are nonnegative with a zero diagonal; undirected graphs are stored
     as symmetric weight matrices. Instances are immutable and safe to share
     across threads; the neighbour table and :func:`spectral_info` are computed
-    once per instance and kept on it.
+    once per instance and kept on it. Equality and hashing are by identity,
+    as for the cached values: two graphs built alike are distinct objects.
     """
 
     n: int
@@ -55,8 +67,7 @@ class WeightedDigraph:
     directed: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("vertex count must be positive")
+        object.__setattr__(self, "n", _vertex_count(self.n))
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must be {self.n}x{self.n}, got {w.shape}")
@@ -79,6 +90,7 @@ class WeightedDigraph:
         not positive and finite, and duplicate edges (for undirected graphs,
         ``(j, i)`` duplicates ``(i, j)``).
         """
+        n = _vertex_count(n)
         w = np.zeros((n, n))
         for i, j, wij in edges:
             try:

@@ -167,6 +167,24 @@ def metrics_csv_row(m: RunMetrics, extra_values: tuple = ()) -> str:
     )
 
 
+#: How parse_metrics_csv reads each field that is not a float.
+_PARSERS = {
+    "events_total": int,
+    "events_per_agent": lambda text: tuple(int(v) for v in text.split(";") if v),
+    "zeno_suspect": lambda text: text == "true",
+}
+
+
+def _read_cell(row: int, column: str, text: str, parse=float):
+    """parse(text) of a metrics CSV cell; an error names its row (1 is the
+    first after the header) and column."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(
+            f"metrics CSV row {row}, column {column!r}: cannot read {text!r}") from None
+
+
 def parse_metrics_csv(text: str) -> tuple:
     """Read back metrics rows written by this module.
 
@@ -182,22 +200,14 @@ def parse_metrics_csv(text: str) -> tuple:
         raise ValueError("metrics CSV header does not match the expected schema")
     extra = tuple(header[: len(header) - len(CSV_FIELDS)])
     rows = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise ValueError(
+                f"metrics CSV row {row}: expected {len(header)} columns, got {len(parts)}")
         extras = tuple(parts[: len(extra)])
-        vals = parts[len(extra):]
-        rec = dict(zip(CSV_FIELDS, vals))
-        m = RunMetrics(
-            final_disagreement=float(rec["final_disagreement"]),
-            conservation_error=float(rec["conservation_error"]),
-            events_total=int(rec["events_total"]),
-            events_per_agent=tuple(
-                int(v) for v in rec["events_per_agent"].split(";") if v
-            ),
-            min_gap=float(rec["min_gap"]),
-            mean_gap=float(rec["mean_gap"]),
-            decay_rate=float(rec["decay_rate"]),
-            zeno_suspect=rec["zeno_suspect"] == "true",
-        )
+        cells = zip(CSV_FIELDS, parts[len(extra):])
+        m = RunMetrics(**{field: _read_cell(row, field, cell, _PARSERS.get(field, float))
+                          for field, cell in cells})
         rows.append((extras, m))
     return extra, rows

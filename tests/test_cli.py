@@ -16,7 +16,7 @@ from etconsensus import (
     min_inter_event_bound_centralized,
     sim_config,
 )
-from etconsensus import cli
+from etconsensus import _floatrepr, cli
 from etconsensus.cli import check_bounds, main
 from etconsensus.config import load_config, load_linear_et_config
 from etconsensus.linear_et import default_t_max, design, simulate_sample_hold
@@ -283,6 +283,70 @@ def test_symlinked_output_becomes_a_regular_file(tmp_path):
     assert link.read_text().startswith("l,t,gap\n")
 
 
+def streamed(tmp_path, command):
+    """argv of a run whose trace file spans several render blocks, and that
+    file: 4,001 rows on the 2-node path (dt 0.005, horizon 20), 2,201 for
+    the double integrator at 200 samples per interval."""
+    if command == "run":
+        cfg = make_config(tmp_path, "type = state_dependent\nsigma_i = 0.5", horizon=20)
+        return ["run", str(cfg), "--quiet"], tmp_path / "out" / "trace.csv"
+    cfg = make_linear_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[run]", "samples_per_interval = 200\n[run]"))
+    return ["linear-et", str(cfg), "--quiet"], tmp_path / "let" / "linear_et_trace.csv"
+
+
+@pytest.mark.parametrize("command", ["run", "linear-et"])
+def test_every_write_is_a_str_and_the_writes_make_the_file(tmp_path, monkeypatch, command):
+    """Every output byte goes through ``cli._write(path, text)`` with text a
+    str, the trace file's once per block; each file is the join of the texts
+    written to its path."""
+    argv, trace = streamed(tmp_path, command)
+    written, write = {}, cli._write
+
+    def spy(path, text, *args, **kwargs):
+        assert isinstance(text, str)
+        written.setdefault(path, []).append(text)
+        write(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    assert main(argv) == 0
+    assert len(written[trace]) > 2
+    assert set(written) == set(trace.parent.iterdir())
+    for path, texts in written.items():
+        assert path.read_text() == "".join(texts)
+        assert path.stat().st_size == sum(map(len, texts))
+
+
+@pytest.mark.parametrize("error, code", [(ValueError("renderer failed"), 2),
+                                         (KeyboardInterrupt(), None)])
+@pytest.mark.parametrize("command", ["run", "linear-et"])
+def test_a_failure_mid_stream_leaves_no_trace_file(tmp_path, monkeypatch, capsys,
+                                                   command, error, code):
+    """If rendering fails once the first block is on disk, the trace file
+    goes: neither the partial file nor the one an earlier run left survives."""
+    argv, trace = streamed(tmp_path, command)
+    assert main(argv) == 0
+    old = trace.stat().st_size
+    render, sizes = _floatrepr.render, []
+
+    def failing(*args):
+        sizes.append(trace.stat().st_size if trace.exists() else 0)
+        if len(sizes) == 2:
+            raise error
+        return render(*args)
+
+    monkeypatch.setattr(_floatrepr, "render", failing)
+    if code is None:
+        with pytest.raises(type(error)):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert "renderer failed" in capsys.readouterr().err
+    assert 0 < sizes[1] < old  # the second block failed after the first was written
+    assert not trace.exists()
+    assert not any(trace.parent.iterdir())  # nor any other file of the earlier run
+
+
 def test_run_is_byte_deterministic(tmp_path):
     cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5",
                       x0="random(9, -1, 1)")
@@ -414,6 +478,31 @@ def test_bounds_rejects_a_sweep_column_the_config_lacks(tmp_path, capsys, column
     capsys.readouterr()
     assert main(["bounds", str(metrics), str(cfg)]) == 2
     assert f"sweep.{column}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, "abc", "metrics CSV row 2, column 'law.sigma': cannot read 'abc'"),
+    (3, "xyz", "metrics CSV row 2, column 'events_total': cannot read 'xyz'"),
+    (None, None, "metrics CSV row 2: expected 9 columns, got 8"),
+])
+def test_bounds_names_the_cell_that_does_not_parse(tmp_path, capsys, column, value, message):
+    """A parameter or metric value that does not parse, or a short row, exits
+    2 naming its row (1 is the first after the header) and column."""
+    cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5",
+                      extra="\n[sweep]\nlaw.sigma = 0.5, 0.4\n")
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    metrics = tmp_path / "out" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    parts = lines[2].split(",")
+    if column is None:
+        parts.pop()
+    else:
+        parts[column] = value
+    lines[2] = ",".join(parts)
+    metrics.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["bounds", str(metrics), str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))

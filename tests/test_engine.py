@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from etconsensus import (
     spectral_info,
     trace_to_csv,
 )
+from etconsensus import cli
 from etconsensus.engine import _CSV_BLOCK
 from etconsensus.metrics import compute_run_metrics, inter_event_stats
 from helpers import assert_same_csv
@@ -412,6 +414,33 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
         tr = synthetic_trace(xhat, state)
         assert_same_bits(tr.xhats, state if xhat is None else xhat, name)
         assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr), name)
+
+
+def test_streamed_trace_csv_takes_bounded_memory(tmp_path):
+    """Rendered and written a block at a time, a trace of 40 blocks peaks at a
+    few blocks' text (the formatter's temporaries for one block come to about
+    ten times its text), not at the whole file's; the whole-text form is the
+    join of the same blocks."""
+    n = 10
+    rows = 40 * block_rows(n)
+    rng = np.random.default_rng(0)
+    changes = list(zip(rng.integers(1, rows, 400).tolist(), rng.integers(0, n, 400).tolist()))
+    tr = synthetic_trace(held_rows(n, rows, changes))
+    blocks = []
+    assert trace_to_csv(tr, blocks.append) is None  # also builds the formatter's tables
+    assert len(blocks) == 40 and trace_to_csv(tr) == "".join(blocks)
+    block, size = max(map(len, blocks)), sum(map(len, blocks))
+    del blocks
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        with cli._streaming(path) as write:
+            trace_to_csv(tr, write)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size
+    assert peak < 16 * block, (peak, block, size)
 
 
 def directed_setup(n, seed, horizon=1.0, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,28 @@ def test_from_edges_rejects_bad_edges():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=r"edge \(0, 1\): weight must be positive and finite"):
             WeightedDigraph.from_edges(3, [(0, 1, bad)])
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2.5, 2.0, "3", None])
+def test_vertex_count_must_be_a_positive_integer(n):
+    """Checked before the weights are allocated, so the message names the
+    count, not a numpy shape."""
+    message = r"vertex count n must be a positive integer, got "
+    with pytest.raises(ValueError, match=message + re.escape(repr(n))):
+        WeightedDigraph.from_edges(n, [])
+    with pytest.raises(ValueError, match=message):
+        WeightedDigraph(n, np.zeros((2, 2)))
+
+
+def test_graphs_compare_and_hash_by_identity():
+    """Two graphs built alike are distinct objects, as their cached neighbour
+    tables and spectra are: == and hash() neither raise nor compare weights."""
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
+    g, same = WeightedDigraph(2, w), WeightedDigraph(2, w.copy())
+    assert g == g and not g != g
+    assert g != same and not g == same
+    assert hash(g) == hash(g)
+    assert len({g, same, g}) == 2 and {g: "g"}[g] == "g"
 
 
 def test_weight_matrix_validation():
