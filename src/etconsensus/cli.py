@@ -7,13 +7,13 @@ remaining points and writes metrics.csv for those that finished; an aborted
 point leaves only its partial events.csv.
 
 Every run replaces its output files: an existing file is unlinked and a new
-one written, so nothing an earlier run left at those names survives. ``run``
-removes ``metrics.csv`` before its first point and a point's files before
-simulating it, so a point or run that fails leaves none of an earlier run's.
-It also removes the run files an earlier run left where this one writes none:
-in ``point_NNN/`` directories beyond its points, and at the top of a sweep's
-directory. ``trace.csv`` and ``linear_et_trace.csv`` are written a block of
-rows at a time, as each is rendered; a failure on the way removes the file.
+one written, so nothing an earlier run left at those names survives. Once
+every point has resolved, and before it simulates any, ``run`` removes what
+an earlier run left in its directory: ``metrics.csv`` and the run files at
+the top and in every ``point_NNN/``. So a point or run that fails, or a run
+of fewer points, leaves none of an earlier run's files. ``trace.csv`` and
+``linear_et_trace.csv`` are written a block of rows at a time, as each is
+rendered; a failure on the way removes the file.
 """
 
 from __future__ import annotations
@@ -199,20 +199,18 @@ def _streaming(path: Path):
 _RUN_FILES = ("trace.csv", "events.csv", "metrics.txt")
 
 
-def _remove_stale_runs(out_dir: Path, points: int) -> None:
-    """Remove the run files that an earlier run left in out_dir where this
-    one, of ``points`` points, writes none: the top level for a sweep, and
-    every ``point_NNN/`` beyond its points (all of them for a single run).
-    Only the names in _RUN_FILES are removed, and a point directory only if
-    that leaves it empty."""
+def _remove_earlier_run(out_dir: Path) -> None:
+    """Remove the files an earlier run left in out_dir: ``metrics.csv``, and
+    the names in _RUN_FILES at its top and in every ``point_NNN/`` directory
+    (not a symlinked one), which goes too if that leaves it empty. Files and
+    directories of other names stay."""
     if not out_dir.is_dir():
         return
-    sweep = points > 1
-    stale = [out_dir] if sweep else []
+    (out_dir / "metrics.csv").unlink(missing_ok=True)
+    stale = [out_dir]
     for path in out_dir.glob("point_*"):
         index = path.name[len("point_"):]
         if (index.isdigit() and path.name == f"point_{int(index):03d}"
-                and int(index) >= (points if sweep else 0)
                 and path.is_dir() and not path.is_symlink()):
             stale.append(path)
     for directory in stale:
@@ -232,15 +230,10 @@ def cmd_run(args) -> int:
     sweep_keys = tuple(key for key, _ in cfg.sweep)
     rows = []
     aborted = False
-    # Nothing an earlier run left survives a point that does not finish, nor
-    # a run that fails: metrics.csv is written last, a point's files as it
-    # finishes.
-    (out_dir / "metrics.csv").unlink(missing_ok=True)
+    _remove_earlier_run(out_dir)
     for index, (overrides, (law, sim)) in enumerate(zip(points, resolved)):
         _warn_periodic(law, cfg.graph)
         point_dir = out_dir if len(points) == 1 else out_dir / f"point_{index:03d}"
-        for name in _RUN_FILES:
-            (point_dir / name).unlink(missing_ok=True)
         try:
             trace = _simulate(cfg, law, sim)
         except ZenoAbort as exc:
@@ -265,7 +258,6 @@ def cmd_run(args) -> int:
     if rows:
         header = metrics_csv_header(sweep_keys)
         _write(out_dir / "metrics.csv", header + "\n" + "\n".join(rows) + "\n")
-    _remove_stale_runs(out_dir, len(points))
     return 3 if aborted else 0
 
 

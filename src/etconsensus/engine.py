@@ -9,7 +9,8 @@ which the agent's predicate holds. The event loop fires the earliest agent;
 a broadcast by k changes only its affected set (k and its in-neighbours;
 two hops for the decentralized law; all agents for the centralized one),
 which alone is re-anchored and re-solved: O(degree) work per broadcast, and
-none per ``dt``, only the spacing of the sampled trace. The predicates fire,
+none per ``dt``, only the spacing of the sampled trace. The periodic law
+checks every agent at the multiples k h of its period. The predicates fire,
 bit for bit, the agents the scalar ``triggers.eval_*`` functions would fire.
 Broadcasts are received instantaneously: an event may enable further events
 at the same instant, processed in ascending agent id. The ideal controller
@@ -62,9 +63,10 @@ class SimConfig:
     """Sampling and reporting settings.
 
     ``dt`` is the spacing of the sampled trace (and of the Zeno budget
-    windows), ``zeno_floor`` the smallest believable inter-event spacing
-    (smaller gaps are flagged), and ``sample_every`` the trace decimation
-    stride.
+    windows), used as given for every law: it moves no event, the periodic
+    law's included. ``zeno_floor`` is the smallest believable inter-event
+    spacing (smaller gaps are flagged), and ``sample_every`` the trace
+    decimation stride.
     """
 
     dt: float
@@ -512,9 +514,11 @@ def simulate_triggered(
     Continuous laws fire the earliest; the agents whose predicate reads a
     broadcast are checked in ascending id and fired until none holds (a
     cascade); only the affected sets of the agents that fire are re-anchored
-    and re-solved. The periodic law checks every agent at multiples of its
-    period h, with ``dt`` coerced so those instants land on sample rows.
-    Rows are filled from the anchors. Every agent broadcasts at t = 0.
+    and re-solved. The periodic law decides at the floats ``k * h``, the
+    multiples of its period: every agent advances to the instant, those whose
+    predicate holds fire, then the cascade runs. Rows are filled from the
+    anchors at the spacing ``dt``, which moves no event of any law. Every
+    agent broadcasts at t = 0.
 
     Raises ZenoAbort when one agent fires more than MAX_EVENTS_PER_WINDOW
     times within a single sample interval of length ``dt``.
@@ -524,17 +528,8 @@ def simulate_triggered(
     x0 = _check_x0(g, x0)
     n = g.n
 
-    dt, horizon = cfg.dt, cfg.horizon
-    periodic = isinstance(law, PeriodicStateDependent)
-    if periodic:
-        # Align the trigger clock with the sample grid: dt -> h / ceil(h/dt).
-        steps_per_h = int(math.ceil(law.h / dt - 1e-12))
-        dt = law.h / steps_per_h
-        if cfg.zeno_floor >= dt:
-            raise InvalidParameter(
-                f"zeno_floor {cfg.zeno_floor} not below coerced dt {dt}"
-            )
-    n_steps, times = _sample_grid(dt, horizon, cfg.sample_every)
+    dt, periodic = cfg.dt, isinstance(law, PeriodicStateDependent)
+    times = _sample_grid(dt, cfg.horizon, cfg.sample_every)[1]
     t_end = times[-1]
 
     members, affected, moved, reads, refresh, holds, delay = _law_rule(g, law, info.laplacian_norm)
@@ -588,15 +583,13 @@ def simulate_triggered(
         queue.extend(reads[u])
         queue.sort(reverse=True)
 
-    t, decision, cand = 0.0, steps_per_h if periodic else 0, set(units)
+    t, multiple, cand = 0.0, 1, set(units)
     while True:
         for u in () if periodic else cand:  # re-solve what the last instant touched
             own[u] = s = delay(u, a)
             due[u] = t + s
         if periodic:
-            on_grid = decision <= n_steps and decision * dt <= horizon
-            t_next = decision * dt if on_grid else math.inf
-            decision += steps_per_h
+            t_next, multiple = multiple * law.h, multiple + 1
         else:
             t_next = due[int(due_times.argmin())]
         stop = bisect.bisect_left(row_times, t_next, row)
@@ -611,8 +604,8 @@ def simulate_triggered(
         if math.ceil(t / dt) != window:
             window, window_count = math.ceil(t / dt), {}
         # Queue the units due now (kernel-verified until a broadcast they read)
-        # or, at a decision instant, after one step of all agents (cand stays
-        # all of them), those that hold. Each broadcast queues its readers;
+        # or, at a multiple of h, after one step of all agents (cand stays all
+        # of them), those that hold. Each broadcast queues its readers;
         # the lowest queued unit that holds fires next.
         if periodic:
             anchor_x += (t - anchor_t) * velocity

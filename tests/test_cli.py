@@ -184,6 +184,29 @@ def test_aborted_sweep_point_leaves_no_stale_artifacts(tmp_path, capsys):
     assert "zeno" in capsys.readouterr().err.lower()
 
 
+def test_failed_sweep_leaves_none_of_an_earlier_runs_files(tmp_path, monkeypatch, capsys):
+    """A rerun of the 19-point sweep that fails at point_001 (exit 2) leaves
+    only the point it finished: the earlier run's later points and its
+    metrics.csv are gone."""
+    argv = ["run", str(CONFIG_DIR / "centralized_sigma_sweep.cfg"),
+            "--output-dir", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == 0
+    assert len(output_files(tmp_path / "out")) == 1 + 19 * 3
+    simulate, calls = cli._simulate, []
+
+    def fail_at_second_point(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("injected failure")
+        return simulate(*args)
+    monkeypatch.setattr(cli, "_simulate", fail_at_second_point)
+    assert main(argv) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert set(output_files(tmp_path / "out")) == {
+        f"point_000/{name}" for name in ("trace.csv", "events.csv", "metrics.txt")}
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["point_000"]
+
+
 def sweep_config(tmp_path, sigmas=None, name="exp.cfg"):
     """A centralized run on the 2-node path, a sweep over sigma if given."""
     extra = f"\n[sweep]\nlaw.sigma = {sigmas}\n" if sigmas else ""

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +34,12 @@ from etconsensus import (
     trace_to_csv,
 )
 from etconsensus import cli
+from etconsensus.config import load_config
 from etconsensus.engine import _CSV_BLOCK
 from etconsensus.metrics import compute_run_metrics, inter_event_stats
 from helpers import assert_same_csv
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def gaps_of(events):
@@ -211,35 +215,50 @@ def test_error_reset_after_events(p2):
 
 # -- periodic law ---------------------------------------------------------------
 
-def test_periodic_events_on_grid_with_coerced_dt(cycle3):
+def test_periodic_events_fall_on_multiples_of_h(cycle3):
     h = 0.0317  # deliberately not a multiple of the default dt
     cfg = sim_config(cycle3, horizon=20.0)
     tr = simulate_triggered(cycle3, PeriodicStateDependent(h=h), [1.0, 0.0, -1.0], cfg)
     fired = [ev for ev in tr.events if ev.t > 0.0]
     assert fired
     for ev in fired:
-        ratio = ev.t / h
-        assert abs(ratio - round(ratio)) < 1e-9
+        assert ev.t == round(ev.t / h) * h  # the float k * h, bit for bit
     assert min(gaps_of(tr.events)) >= h
+
+
+def test_periodic_events_do_not_depend_on_dt():
+    """configs/periodic_cycle5.cfg logs the same events.csv text at its
+    default dt and at three others: dt places trace rows, not decisions."""
+    cfg = load_config(CONFIG_DIR / "periodic_cycle5.cfg")
+    texts = {
+        dt: events_to_csv(simulate_triggered(
+            cfg.graph, cfg.law, cfg.x0, SimConfig(dt=dt, horizon=cfg.sim.horizon)).events)
+        for dt in (cfg.sim.dt, 1e-3, 3.7e-4, 1e-2)
+    }
+    for dt, text in texts.items():
+        assert_same_csv(text, texts[cfg.sim.dt], f"events.csv at dt={dt}")
 
 
 def test_periodic_condition_holds_at_sample_instants(cycle3):
     """After each decision instant every agent satisfies the broadcast-error
-    inequality with the post-decision values."""
+    inequality with the post-decision values. With dt = h / 4, row 4k lies
+    at exactly k h, so every multiple of h within the horizon is checked."""
     law = PeriodicStateDependent(h=0.05, sigma_i=0.5)
-    cfg = sim_config(cycle3, horizon=10.0)
+    cfg = SimConfig(dt=law.h / 4, horizon=10.0)
     tr = simulate_triggered(cycle3, law, [1.0, 0.0, -1.0], cfg)
     w = cycle3.weights
     d_out = w.sum(axis=1)
+    checked = 0
     for k, t in enumerate(tr.times):
-        ratio = t / law.h
-        if abs(ratio - round(ratio)) > 1e-9:
+        if t != round(t / law.h) * law.h:
             continue
+        checked += 1
         x, xh = tr.states[k], tr.xhats[k]
         for i in range(3):
             nbrs = np.flatnonzero(w[i] > 0)
             thr = 0.5 / (4.0 * d_out[i]) * np.sum(w[i, nbrs] * (xh[i] - xh[nbrs]) ** 2)
             assert (xh[i] - x[i]) ** 2 <= thr + 1e-12
+    assert checked == round(cfg.horizon / law.h) + 1
 
 
 # -- zeno handling ----------------------------------------------------------------

@@ -4,11 +4,13 @@ Each law's kernel returns an agent's delay to its next firing time from an
 anchor at which its predicate does not hold. The scalar ``eval_*``
 evaluators are the reference: they must fire the agent at the returned
 delay, and at no delay before it that the state resolves. The event loop
-is compared with a 50-digit decimal run of the directed law.
+is compared with 50-digit decimal runs of the directed and periodic laws.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,11 @@ from etconsensus import (
     CentralizedNorm,
     DecentralizedState,
     DirectedStateDependent,
+    PeriodicStateDependent,
     StateDependent,
     TimeDependent,
+    max_admissible_period,
+    per_agent_sigmas,
     random_balanced_digraph,
     random_connected_undirected,
     sim_config,
@@ -29,6 +34,7 @@ from etconsensus import (
     spectral_info,
 )
 from etconsensus import engine
+from etconsensus.config import load_config
 from etconsensus.engine import _law_rule
 
 
@@ -168,6 +174,69 @@ def exact_directed_events(g, sigma, x0, horizon):
                     break
                 xh[ready[0]] = x[ready[0]]
                 out.append((float(t), ready[0], float(x[ready[0]]), float(max(x) - min(x))))
+
+
+def exact_periodic_events(g, sigma, h, x0, horizon):
+    """(multiple index k, agent, value, spread of x) of every broadcast after
+    t = 0 under the periodic law, in 50-digit decimal arithmetic: the state
+    steps by h from each multiple k h to the next, then the lowest agent whose
+    predicate holds fires until none does (the cascade in ascending id)."""
+    n = g.n
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w = [[Decimal(float(v)) for v in row] for row in g.weights]
+        d_out = [sum(row) for row in w]
+        sig = [Decimal(float(s)) for s in sigma]
+        x = [Decimal(float(v)) for v in x0]
+        xh = list(x)
+        step, end = Decimal(float(h)), Decimal(float(horizon))
+
+        def thr(i):
+            return sig[i] * sum(w[i][j] * (xh[i] - xh[j]) ** 2 for j in range(n)) / (4 * d_out[i])
+
+        out, k = [], 1
+        while k * step <= end:
+            v = [-sum(w[i][j] * (xh[i] - xh[j]) for j in range(n)) for i in range(n)]
+            x = [x[i] + step * v[i] for i in range(n)]
+            while True:
+                ready = [j for j in range(n) if xh[j] != x[j] and (xh[j] - x[j]) ** 2 >= thr(j)]
+                if not ready:
+                    break
+                xh[ready[0]] = x[ready[0]]
+                out.append((k, ready[0], float(x[ready[0]]), float(max(x) - min(x))))
+            k += 1
+        return out
+
+
+def periodic_pairs_checked(g, law, x0, horizon):
+    """Compare a periodic run with ``exact_periodic_events`` while the spread
+    of the states is at least 1e-10: the same multiple of h and agent for
+    every event, with broadcast values within 1e-12. Returns the count."""
+    exact = exact_periodic_events(g, per_agent_sigmas(law.sigma_i, g.n), law.h, x0, horizon)
+    run = simulate_triggered(g, law, x0, sim_config(g, horizon=horizon))
+    fired = [(round(ev.t / law.h), ev.agent, ev.value) for ev in run.events if ev.t > 0.0]
+    pairs = list(itertools.takewhile(lambda p: p[0][3] >= 1e-10, zip(exact, fired)))
+    assert pairs
+    for (k, agent, value, _), (run_k, run_agent, run_value) in pairs:
+        assert (run_k, run_agent) == (k, agent)
+        assert abs(run_value - value) <= 1e-12
+    return len(pairs)
+
+
+def test_periodic_cycle5_matches_50_digit_solution():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "periodic_cycle5.cfg")
+    assert periodic_pairs_checked(cfg.graph, cfg.law, cfg.x0, cfg.sim.horizon) > 300
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_periodic_law_matches_50_digit_solution(seed):
+    """Seeded balanced digraphs, n = 2..6, with h from 0.2 to 0.95 of h*."""
+    rng = np.random.default_rng(seed)
+    g = random_balanced_digraph(int(rng.integers(2, 7)), rng, extra_cycles=int(rng.integers(0, 3)))
+    sigma = tuple(rng.uniform(0.1, 0.9, g.n))
+    h_star = max_admissible_period(max(sigma), g.max_weight, g.max_out_neighbors)
+    law = PeriodicStateDependent(h=float(rng.uniform(0.2, 0.95)) * h_star, sigma_i=sigma)
+    periodic_pairs_checked(g, law, rng.uniform(-1.0, 1.0, g.n), 20.0)
 
 
 @settings(max_examples=10, deadline=None)
