@@ -10,7 +10,6 @@ is the marginal simulate time per broadcast: the time of a run to
 (best of five runs each), so graph set-up, the t = 0 bootstrap and the
 quiet start (no agent fires before t = 0.07) are left out. The window holds
 a few thousand broadcasts and 400,000 trace values at every size.
-``spectral_info`` is computed before timing; it takes seconds at n = 3000.
 
 Usage: python scripts/engine_scaling.py [--sizes 10 50 200 1000 3000]
 """
@@ -27,7 +26,6 @@ from etconsensus import (
     SimConfig,
     WeightedDigraph,
     simulate_triggered,
-    spectral_info,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -56,7 +54,6 @@ def main() -> None:
         rng = np.random.default_rng(n)
         g = WeightedDigraph(n=n, weights=regular_balanced_digraph(n, rng), directed=True)
         x0 = rng.uniform(-1.0, 1.0, n)
-        spectral_info(g)  # cached; kept out of the timed region
         t_start, e_start = best_run(g, law, x0, 0.1)
         t_end, e_end = best_run(g, law, x0, 0.1 + 400.0 / n)
         per_event = (t_end - t_start) / max(e_end - e_start, 1) * 1e6

@@ -34,6 +34,7 @@ from .graph import (
     random_balanced_digraph,
     random_connected_undirected,
     spectral_info,
+    validate_graph,
 )
 from .triggers import (
     AgentView,

@@ -46,7 +46,7 @@ from .engine import (
     trace_to_csv,
 )
 from .errors import EtConsensusError, ZenoAbort
-from .graph import WeightedDigraph, spectral_info
+from .graph import WeightedDigraph, spectral_info, validate_graph
 from .linear_et import default_t_max, design, min_inter_event_time, simulate_sample_hold
 from .metrics import (
     RunMetrics,
@@ -84,8 +84,10 @@ def check_bounds(m: RunMetrics, law, g: WeightedDigraph, dt: float) -> tuple:
 
     law is None for runs of the ideal continuous controller; dt is the run's
     sample spacing, of which the centralized gap check allows 1e-3 as slack.
+    Raises what ``validate_graph`` raises, as a run on g would; only the
+    ideal, centralized and time-dependent lines compute the spectrum.
     """
-    info = spectral_info(g)
+    validate_graph(g)
     checks = []
 
     def at_most(name, observed, bound):
@@ -101,7 +103,7 @@ def check_bounds(m: RunMetrics, law, g: WeightedDigraph, dt: float) -> tuple:
     at_most("conservation_error", m.conservation_error, CONSERVATION_BOUND)
     if law is None:
         rate = m.decay_rate if not math.isnan(m.decay_rate) else -math.inf
-        at_least("decay_rate", rate, 0.9 * info.lambda2)
+        at_least("decay_rate", rate, 0.9 * spectral_info(g).lambda2)
     elif isinstance(law, CentralizedNorm):
         tau = min_inter_event_bound_centralized(g, law.sigma)
         at_least("min_inter_event_gap", m.min_gap, tau - dt * 1e-3)

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidParameter, ZenoAbort
-from .graph import WeightedDigraph, laplacian, spectral_info
+from .graph import WeightedDigraph, laplacian, spectral_info, validate_graph
 from .linear_et import matrix_exponential
 from .triggers import (
     CentralizedNorm,
@@ -210,15 +210,17 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     Each step applies the exact propagator exp(-L dt); a truncated last step
     uses one more exponential over its own length.
     """
-    spectral_info(g)  # raises NotConnected / NotBalanced
+    validate_graph(g)
     x0 = _check_x0(g, x0)
     lap = laplacian(g)
     dt, horizon = cfg.dt, cfg.horizon
     n_steps, times = _sample_grid(dt, horizon, cfg.sample_every)
-    # exp(-L t) fixes constant vectors, so propagate the offset from x0[0]:
-    # an agreement state then stays fixed exactly.
+    # exp(-L t) fixes constant vectors, so propagate the offset from the mean
+    # of x0: no O(1) consensus component is stepped, whose rounding would
+    # floor the disagreement. An agreement state's offset is a constant of
+    # a few ulps, and the state stays fixed exactly.
     step = _propagator(lap, dt)
-    base = x0[0]
+    base = float(x0.mean())
     offset = x0 - base
     states = np.empty((len(times), g.n))
     states[0] = x0
@@ -350,7 +352,7 @@ def _first_root(a: float, b: float, c: float) -> float:
     return math.inf
 
 
-def _law_rule(g: WeightedDigraph, law: TriggerLaw, norm_l: float) -> _Rule:
+def _law_rule(g: WeightedDigraph, law: TriggerLaw) -> _Rule:
     """Scalar forms of ``law`` on ``g`` per unit: an agent, or the network
     (unit 0) for the centralized law, which broadcasts for ``members[u]``.
 
@@ -378,7 +380,8 @@ def _law_rule(g: WeightedDigraph, law: TriggerLaw, norm_l: float) -> _Rule:
         return -total, 0.0
 
     if isinstance(law, CentralizedNorm):
-        lap, beta2 = laplacian(g), (law.sigma / norm_l) ** 2
+        lap, norm_l = laplacian(g), spectral_info(g).laplacian_norm
+        beta2 = (law.sigma / norm_l) ** 2
 
         def holds(u, t, x, a):
             x = np.asarray(x)
@@ -523,7 +526,7 @@ def simulate_triggered(
     Raises ZenoAbort when one agent fires more than MAX_EVENTS_PER_WINDOW
     times within a single sample interval of length ``dt``.
     """
-    info = spectral_info(g)
+    validate_graph(g)
     validate_law(law, g)
     x0 = _check_x0(g, x0)
     n = g.n
@@ -532,7 +535,7 @@ def simulate_triggered(
     times = _sample_grid(dt, cfg.horizon, cfg.sample_every)[1]
     t_end = times[-1]
 
-    members, affected, moved, reads, refresh, holds, delay = _law_rule(g, law, info.laplacian_norm)
+    members, affected, moved, reads, refresh, holds, delay = _law_rule(g, law)
     network = isinstance(law, CentralizedNorm)
 
     # e = xhat - x is derived, so e_i restarts at exactly zero when i fires.

@@ -5,9 +5,11 @@ this package is expressed through three numbers attached to a graph: the
 algebraic connectivity ``lambda_2`` and the largest eigenvalue ``lambda_n`` of
 the symmetrized Laplacian, and the induced 2-norm of the Laplacian itself.
 This module builds graphs from edge lists or files, checks the structural
-preconditions (strong connectivity, weight balance), and computes those
-numbers. It is also the one place that derives each vertex's neighbours from
-the weights (:attr:`WeightedDigraph.neighbors`).
+preconditions (strong connectivity, weight balance; :func:`validate_graph`,
+with no eigendecomposition where a bound certifies connectivity), and
+computes those numbers (:func:`spectral_info`) for what reads them. It is
+also the one place that derives each vertex's neighbours from the weights
+(:attr:`WeightedDigraph.neighbors`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +32,13 @@ BALANCE_TOL = 1e-12
 #: lambda_2 at or below this times the largest vertex degree means the zero
 #: eigenvalue is not simple.
 CONNECTIVITY_TOL = 1e-10
+
+#: Margin the connectivity certificate leaves for the rounding of the
+#: eigenvalue test, in units of n eps times the largest degree d_max. LAPACK
+#: bounds an eigenvalue's error by p(n) eps ||A||_2, p(n) a modest function
+#: of n, taken here as 8 n on ||(L + L^T)/2||_2 <= 2 d_max.
+_EIG_ROUNDING = 16.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _vertex_count(n) -> int:
@@ -57,8 +66,12 @@ class WeightedDigraph:
 
     Weights are nonnegative with a zero diagonal; undirected graphs are stored
     as symmetric weight matrices. Instances are immutable and safe to share
-    across threads; the neighbour table and :func:`spectral_info` are computed
-    once per instance and kept on it. Equality and hashing are by identity,
+    across threads; the neighbour table, the check of
+    :func:`validate_graph` and :func:`spectral_info` are each computed once
+    per instance, when first read, and kept on it. Every simulation validates
+    its graph; the spectrum is computed only for the default ``dt``, the
+    ideal run's decay line, the centralized law and its floor ``tau``, and
+    the time-dependent law's radius. Equality and hashing are by identity,
     as for the cached values: two graphs built alike are distinct objects.
     """
 
@@ -130,10 +143,16 @@ class WeightedDigraph:
         )
 
     @functools.cached_property
-    def _spectral(self) -> SpectralInfo:
+    def _validated(self) -> bool:
         # Nothing is kept when a check raises, so a failing graph raises again.
-        if not is_weight_balanced(self):
-            raise NotBalanced("graph is not weight-balanced; out- and in-degrees differ")
+        _check_balance(self)
+        if not _certified_connected(self):
+            spectral_info(self)  # the eigenvalue test decides
+        return True
+
+    @functools.cached_property
+    def _spectral(self) -> SpectralInfo:
+        _check_balance(self)
         lap = laplacian(self)
         sym_eigs = np.linalg.eigvalsh(0.5 * (lap + lap.T))
         if self.n < 2 or sym_eigs[1] <= CONNECTIVITY_TOL * _degree_scale(self):
@@ -196,27 +215,78 @@ def is_weight_balanced(g: WeightedDigraph) -> bool:
     return bool(np.max(np.abs(g.out_degrees - g.in_degrees)) <= BALANCE_TOL * _degree_scale(g))
 
 
-def _reaches_all(adjacency) -> bool:
-    """True iff vertex 0 reaches every vertex along the ``adjacency`` lists."""
-    seen, queue = {0}, [0]
+def _check_balance(g: WeightedDigraph) -> None:
+    if not is_weight_balanced(g):
+        raise NotBalanced("graph is not weight-balanced; out- and in-degrees differ")
+
+
+def _depth(*tables) -> Optional[int]:
+    """Largest BFS distance from vertex 0 along the union of the neighbour
+    ``tables``, or None if some vertex is not reached."""
+    dist, queue = {0: 0}, [0]
     for u in queue:
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(adjacency)
+        for table in tables:
+            for v in table[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+    return dist[queue[-1]] if len(queue) == len(tables[0]) else None
 
 
 def is_strongly_connected(g: WeightedDigraph) -> bool:
     """True iff every vertex reaches every other along positive-weight edges."""
-    return _reaches_all(g.neighbors.out) and _reaches_all(g.neighbors.into)
+    return _depth(g.neighbors.out) is not None and _depth(g.neighbors.into) is not None
+
+
+def _certified_connected(g: WeightedDigraph) -> bool:
+    """True if a bound, with no eigendecomposition, shows that a graph which
+    passed the balance test passes the eigenvalue test of :func:`spectral_info`.
+
+    If the support graph (i ~ j where w_ij > 0 or w_ji > 0) is connected, its
+    diameter is at most twice the BFS depth from vertex 0, and (L + L^T)/2 is
+    the Laplacian of weights (w_ij + w_ji)/2 >= w_min/2 on it plus
+    diag(d_out - d_in)/2. So Mohar's lambda_2 >= 4 / (n diameter) for unit
+    weights (Graphs Combin. 7, 1991) and Weyl's inequality give
+    lambda_2 >= w_min / (n depth) - max |d_out - d_in| / 2. The bound must
+    clear ``CONNECTIVITY_TOL`` times the largest degree by more than
+    ``_EIG_ROUNDING`` n eps times it, for the rounding of the degree sums and
+    of ``eigvalsh``.
+    """
+    nbrs = g.neighbors
+    depth = _depth(nbrs.out, nbrs.into)
+    if not depth:  # None: not connected; 0: one vertex, which the test rejects
+        return False
+    scale = _degree_scale(g)
+    w_min = min(min(ws) for ws in nbrs.out_weights if ws)
+    imbalance = float(np.abs(g.out_degrees - g.in_degrees).max())
+    slack = 0.5 * imbalance + _EIG_ROUNDING * g.n * _EPS * scale
+    return w_min / (g.n * depth) - slack > CONNECTIVITY_TOL * scale
+
+
+def validate_graph(g: WeightedDigraph) -> None:
+    """Raise what :func:`spectral_info` raises, with no eigendecomposition
+    where a bound certifies connectivity.
+
+    The balance test is the same. Connectivity is certified by a breadth-first
+    search and a lower bound on lambda_2 (``_certified_connected``), O(m) work
+    in the edges m besides the degree sums; where the bound does not clear
+    the tolerance, as for a graph of weak bridges, :func:`spectral_info`
+    decides. Checked once per graph instance; a graph that fails raises
+    again on every call.
+    """
+    g._validated
 
 
 def spectral_info(g: WeightedDigraph) -> SpectralInfo:
-    """Eigen-summary of the symmetrized Laplacian.
+    """Eigen-summary of the symmetrized Laplacian: a dense ``eigvalsh`` and
+    an SVD for ||L||_2.
 
     Computed once per graph instance and kept on it; a graph that fails a
-    check raises again on every call.
+    check raises again on every call. Only what reads these numbers calls
+    it: the default ``dt`` (``engine.sim_config``), the ideal decay line, the
+    centralized law and its floor, and the time-dependent radius. To check
+    a graph alone, :func:`validate_graph` raises the same errors, without an
+    eigendecomposition where a bound certifies connectivity.
 
     Raises:
         NotBalanced: if the balance test fails (no spectral claim holds then).

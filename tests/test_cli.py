@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from etconsensus import (
     CentralizedNorm,
+    NotConnected,
     PeriodicStateDependent,
     TimeDependent,
     WeightedDigraph,
@@ -799,3 +801,106 @@ def test_check_bounds_periodic(p2):
     checks = check_bounds(metrics_stub(min_gap=0.05), law, p2, DT)
     names = {c.name: c.passed for c in checks}
     assert names["period_h"] and names["min_inter_event_gap"]
+
+
+# -- spectra only where a law or bound reads them --------------------------------
+
+CYCLE5 = """
+[graph]
+n = 5
+mode = directed
+edges = 0 1 1.0, 1 2 1.0, 2 3 1.0, 3 4 1.0, 4 0 1.0
+"""
+
+
+def cycle5_config(tmp_path, law_block, dt="dt = 0.01"):
+    path = tmp_path / "spectra.cfg"
+    path.write_text(CYCLE5 + f"""
+[law]
+{law_block}
+
+[sim]
+horizon = 2
+{dt}
+
+[run]
+x0 = 1, -1, 0.5, 0.25, -0.75
+output_dir = {tmp_path / 'out'}
+""")
+    return path
+
+
+def count_spectra(monkeypatch):
+    """Count np.linalg.eigvalsh and np.linalg.svd calls, the latter also as
+    np.linalg.norm(., 2) makes them (through its module's own name)."""
+    calls = {"eigvalsh": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, counted(name, fn))
+        monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, name, counted(name, fn))
+    return calls
+
+
+NO_SPECTRA = {
+    "directed": "type = directed_state_dependent\nsigma_i = 0.5",
+    "state_dependent": "type = state_dependent\nsigma_i = 0.5",
+    "decentralized": "type = decentralized_state\na = 0.5\nsigma_i = 0.5",
+    "periodic": "type = periodic_state_dependent\nsigma_i = 0.5\nh = 0.02",
+}
+
+WITH_SPECTRA = {
+    "ideal": "type = ideal",
+    "centralized": "type = centralized\nsigma = 0.5",
+    "time_dependent": "type = time_dependent\nc0 = 0.1\nc1 = 0.5\nalpha = 1.0",
+}
+
+
+@pytest.mark.parametrize("law", NO_SPECTRA)
+def test_runs_with_explicit_dt_compute_no_spectra(tmp_path, monkeypatch, capsys, law):
+    """With an explicit dt, the directed, state-dependent, decentralized and
+    periodic laws and their bound lines read no spectral number: the graph is
+    validated without an eigendecomposition."""
+    cfg = cycle5_config(tmp_path, NO_SPECTRA[law])
+    calls = count_spectra(monkeypatch)
+    assert main(["run", str(cfg)]) == 0
+    assert "PASS  conservation_error" in capsys.readouterr().out
+    assert calls == {"eigvalsh": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("law", WITH_SPECTRA)
+def test_runs_whose_bounds_read_spectra_compute_them_once(tmp_path, monkeypatch, capsys, law):
+    """The ideal decay line reads lambda_2, the centralized law and its floor
+    ||L||, the time-dependent radius both: one eigvalsh and one SVD a run."""
+    cfg = cycle5_config(tmp_path, WITH_SPECTRA[law])
+    calls = count_spectra(monkeypatch)
+    assert main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 2
+    assert calls == {"eigvalsh": 1, "svd": 1}
+
+
+def test_default_dt_computes_the_spectrum(tmp_path, monkeypatch):
+    """dt defaults to 0.01 / lambda_N, so a directed run without dt reads it."""
+    cfg = cycle5_config(tmp_path, NO_SPECTRA["directed"], dt="")
+    calls = count_spectra(monkeypatch)
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    assert calls == {"eigvalsh": 1, "svd": 1}
+
+
+def test_run_rejects_a_weakly_bridged_graph(tmp_path, capsys):
+    """Two unit edges joined by a bridge of weight 1e-12: no bound certifies
+    connectivity, the eigenvalue test rejects it, and run exits 2."""
+    cfg = make_config(tmp_path, "type = state_dependent\nsigma_i = 0.5", x0="1, -1, 0.5, 0")
+    cfg.write_text(cfg.read_text()
+                   .replace("n = 2", "n = 4")
+                   .replace("edges = 0 1 1.0", "edges = 0 1 1.0, 2 3 1.0, 1 2 1e-12")
+                   .replace("horizon = 5", "horizon = 5\ndt = 0.01"))
+    assert main(["run", str(cfg)]) == 2
+    assert "not strongly connected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

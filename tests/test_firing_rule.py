@@ -100,7 +100,7 @@ def engine_rule(law, g):
     """The engine's rule as (fired, refresh): ``fired(t, x, xhat)`` is the
     ascending array of agents whose predicate holds ([ALL_AGENTS] for the
     network-wide law), ``refresh(xhat)`` the list of cached thresholds."""
-    rule = _law_rule(g, law, spectral_info(g).laplacian_norm)
+    rule = _law_rule(g, law)
 
     def fired(t, x, xhat):
         a = anchored(rule, t, x, xhat)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from etconsensus import (
     NotBalanced,
     NotConnected,
+    SimConfig,
     StateDependent,
     WeightedDigraph,
     is_strongly_connected,
@@ -16,9 +17,14 @@ from etconsensus import (
     parse_graph,
     random_balanced_digraph,
     random_connected_undirected,
+    simulate_triggered,
     spectral_info,
+    validate_graph,
     validate_law,
 )
+from etconsensus.config import load_config
+from etconsensus.graph import BALANCE_TOL, CONNECTIVITY_TOL, _certified_connected
+from test_golden import load_golden
 
 
 def test_laplacian_p2(p2):
@@ -328,3 +334,117 @@ def test_neighbor_table_is_built_once_per_graph(monkeypatch, cycle3):
     validate_law(StateDependent(sigma_i=0.5), cycle3)
     assert cycle3.neighbors is first
     assert len(calls) == built
+
+
+# -- connectivity certified without an eigendecomposition ----------------------
+
+def weights_of(draw, rng, n):
+    """A balanced digraph's or a connected undirected graph's weights (one
+    vertex and no edge for n = 1)."""
+    if n == 1:
+        return np.zeros((1, 1))
+    if draw(st.booleans()):
+        return random_balanced_digraph(n, rng, extra_cycles=draw(st.integers(0, 3))).weights
+    return random_connected_undirected(n, rng, edge_prob=draw(st.floats(0.0, 1.0)),
+                                       w_lo=0.5, w_hi=2.0).weights
+
+
+@st.composite
+def certificate_graphs(draw):
+    """Balanced digraphs and undirected graphs, n = 2..12; at random two of
+    them joined by a bridge of weight 1e-12 to 1e-3 each way, every weight
+    scaled by 1e-6 to 1e6, and one edge made heavier by up to half the
+    balance tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = weights_of(draw, rng, draw(st.integers(2, 12)))
+    if draw(st.booleans()):
+        right = weights_of(draw, rng, draw(st.integers(1, 6)))
+        left, n = len(w), len(w) + len(right)
+        w = np.block([[w, np.zeros((left, len(right)))], [np.zeros((len(right), left)), right]])
+        i, j = int(rng.integers(0, left)), int(rng.integers(left, n))
+        w[i, j] = w[j, i] = 10.0 ** draw(st.floats(-12.0, -3.0))
+    w = w * 10.0 ** draw(st.floats(-6.0, 6.0))
+    directed = not np.array_equal(w, w.T) or draw(st.booleans())
+    if directed and draw(st.booleans()):
+        i, j = np.argwhere(w > 0.0)[int(rng.integers(0, np.count_nonzero(w)))]
+        w[i, j] += draw(st.floats(0.0, 0.5)) * BALANCE_TOL * w.sum(axis=1).max()
+    return w, directed
+
+
+def verdict(check, g):
+    try:
+        check(g)
+    except (NotBalanced, NotConnected) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def support_eccentricity(w):
+    """Largest hop distance from vertex 0 over the edges of either direction,
+    by dense boolean steps (None if some vertex is never reached)."""
+    step = (w > 0.0) | (w.T > 0.0)
+    reached, hops = np.eye(len(w), dtype=bool)[0], 0
+    while not reached.all():
+        grown = reached | step[reached].any(axis=0)
+        if (grown == reached).all():
+            return None
+        reached, hops = grown, hops + 1
+    return hops
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_graphs())
+def test_certificate_never_accepts_what_the_eigenvalue_test_rejects(drawn):
+    """validate_graph gives spectral_info's verdict and message on two copies
+    of each graph; where the certificate holds, the eigenvalue test passes
+    and lambda_2 meets the bound w_min / (n depth) less half the imbalance,
+    with the depth from an independent dense search."""
+    w, directed = drawn
+    n = len(w)
+    assert verdict(validate_graph, WeightedDigraph(n, w, directed)) == verdict(
+        spectral_info, WeightedDigraph(n, w, directed))
+    g = WeightedDigraph(n, w, directed)
+    if is_weight_balanced(g) and _certified_connected(g):
+        lam2 = spectral_info(g).lambda2
+        d_out, d_in = w.sum(axis=1), w.sum(axis=0)
+        assert lam2 > CONNECTIVITY_TOL * max(d_out.max(), d_in.max())
+        bound = w[w > 0.0].min() / (n * support_eccentricity(w))
+        assert lam2 >= bound * (1.0 - 1e-9) - 0.5 * np.abs(d_out - d_in).max()
+
+
+def test_shipped_and_ladder_graphs_are_certified(tmp_path):
+    """The graph of every shipped run config and of the benchmark ladder's
+    configs for seeds 1-3, and copies scaled by 1e-6 and 1e6, need no
+    eigendecomposition."""
+    graphs = [load_config(config).graph
+              for _, command, config in load_golden()._runs(tmp_path) if command == "run"]
+    assert len(graphs) == 18
+    for g in graphs:
+        for c in (1e-6, 1.0, 1e6):
+            assert _certified_connected(scaled(g, c))
+
+
+def test_validate_graph_is_checked_once_per_graph(monkeypatch, cycle3):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    validate_graph(cycle3)
+    assert cycle3._validated is True and not calls
+    # A bridge of 1e-12 is not certified: the eigenvalue test rejects it
+    # on every call, and so does every run on it.
+    bridged = WeightedDigraph.from_edges(
+        4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1e-12)], directed=False
+    )
+    assert not _certified_connected(bridged)
+    for _ in range(2):
+        with pytest.raises(NotConnected, match="not strongly connected"):
+            validate_graph(bridged)
+    assert len(calls) == 2
+    with pytest.raises(NotConnected, match="not strongly connected"):
+        simulate_triggered(bridged, StateDependent(), [1.0, -1.0, 0.5, 0.0],
+                           SimConfig(dt=0.01, horizon=1.0))
+    one_way = WeightedDigraph.from_edges(2, [(0, 1, 1.0)])
+    with pytest.raises(NotBalanced):
+        validate_graph(one_way)
+    with pytest.raises(NotConnected):
+        validate_graph(WeightedDigraph(1, [[0.0]]))

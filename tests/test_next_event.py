@@ -110,7 +110,6 @@ def test_kernels_give_first_firing_instant(seed, n, t):
     state motion, whichever is larger."""
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n)
-    norm_l = spectral_info(g).laplacian_norm
     x = rng.uniform(-1.0, 1.0, n)
     # Ordinary errors, zero errors, and (at random) an agreement state.
     xhat = x + rng.normal(0.0, 0.2, n) * (rng.random(n) < 0.7)
@@ -119,7 +118,7 @@ def test_kernels_give_first_firing_instant(seed, n, t):
     for law in laws_for(rng, g):
         xh = anchor(law, g, t, x, xhat)
         v = difference_velocity(g, xh)
-        rule = _law_rule(g, law, norm_l)
+        rule = _law_rule(g, law)
         a = anchored(rule, t, x, xh)
         assert np.array_equal(a.v, v)
         delays = np.array([rule.delay(u, a) for u in range(len(rule.members))])
@@ -278,7 +277,7 @@ def test_agreeing_neighbourhood_never_fires():
         xhat = rng.uniform(-1.0, 1.0, g.n)
         xhat[np.flatnonzero(g.weights[i] > 0.0)] = xhat[i]
         for law in (StateDependent(), DirectedStateDependent()):
-            rule = _law_rule(g, law, spectral_info(g).laplacian_norm)
+            rule = _law_rule(g, law)
             a = anchored(rule, 1.0, xhat, xhat)
             assert a.thr[i] == 0.0
             assert a.v[i] == 0.0
