@@ -159,38 +159,37 @@ def _simulate(cfg: ExperimentConfig, law, sim):
     return simulate_triggered(cfg.graph, law, cfg.x0, sim)
 
 
-def _write(path: Path, text: str, append: bool = False) -> None:
-    """Replace the file at path with text; with ``append``, add text to its end.
+def _create(path: Path):
+    """A new file at path, open for text: any existing file is unlinked
+    first, never truncated in place. On filesystems that flush a file
+    truncated and rewritten at close (ext4's auto_da_alloc), rewriting into an
+    existing output directory would wait on that flush, and a rename over the
+    file triggers it too. A hard link or an open reader keeps the old bytes;
+    a symlink at path is replaced by a regular file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
+    return open(path, "x", newline="\n")
 
-    To replace, any existing file is unlinked and a new one created, never
-    truncated in place: on filesystems that flush a file truncated and
-    rewritten at close (ext4's auto_da_alloc), rewriting into an existing
-    output directory would wait on that flush, and a rename over the file
-    triggers it too. A hard link or an open reader keeps the old bytes; a
-    symlink at path is replaced by a regular file.
-    """
-    if not append:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.unlink(missing_ok=True)
-    with open(path, "a" if append else "x", newline="\n") as fh:
+
+def _write(path: Path, text: str, into=None) -> None:
+    """Replace the file at path with text (``_create``); given ``into``, the
+    handle ``_streaming`` holds open on path, add text to its end."""
+    if into is not None:
+        into.write(text)
+        return
+    with _create(path) as fh:
         fh.write(text)
 
 
 @contextlib.contextmanager
 def _streaming(path: Path):
     """Yield a function that writes each text it is given to path, as it
-    comes: the first replaces the file (``_write``), later ones append. If the
-    body fails, for any reason, path is removed, so no partial file (nor one an
-    earlier run left) survives."""
-    appending = False
-
-    def write(text: str) -> None:
-        nonlocal appending
-        _write(path, text, append=appending)
-        appending = True
-
+    comes, through one handle on a file that replaces any at path
+    (``_create``). If the body fails, for any reason, path is removed, so no
+    partial file (nor one an earlier run left) survives."""
     try:
-        yield write
+        with _create(path) as fh:
+            yield functools.partial(_write, path, into=fh)
     except BaseException:
         with contextlib.suppress(OSError):
             path.unlink(missing_ok=True)

@@ -665,10 +665,6 @@ def convergence_radius_time_trigger(g: WeightedDigraph, c0: float) -> float:
 _CSV_BLOCK = 4000
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def trace_to_csv(trace: Trace, write: Optional[Callable[[str], object]] = None) -> Optional[str]:
     """Render the sampled trajectory as CSV: t, x_0.., xhat_0.., V.
 
@@ -681,7 +677,8 @@ def trace_to_csv(trace: Trace, write: Optional[Callable[[str], object]] = None) 
     x and V columns of a block, and the xhat values that the block's events
     set, in one call. The xhat columns (``Trace.xhats``) come from the event
     log: a row that events reach renders the latest value of each agent they
-    name, other rows reuse the row before's, an ideal run its x.
+    name, and the rows up to the next such row share its xhat text. An ideal
+    run renders its x columns twice.
     """
     blocks = _trace_blocks(trace)
     if write is None:
@@ -693,11 +690,22 @@ def trace_to_csv(trace: Trace, write: Optional[Callable[[str], object]] = None) 
 
 def _trace_blocks(trace: Trace):
     """Yield ``trace_to_csv``'s text, one block of rows at a time."""
-    from ._floatrepr import render  # on first use, so that importing the package does not load it
+    from ._floatrepr import render, render_bytes  # on first use, so that importing the package does not load it
 
     n = trace.n
     times, states, lyap = trace.times, trace.states, trace.lyapunov
-    ideal = not trace.events
+    head = ",".join(["t", *(f"x_{i}" for i in range(n)), *(f"xhat_{i}" for i in range(n)), "V\n"])
+    if not len(times):
+        yield head
+        return
+    if not trace.events:
+        rows = max(1, _CSV_BLOCK // (2 * n + 2))
+        for start in range(0, len(times), rows):
+            block = slice(start, start + rows)
+            table = np.column_stack((times[block], states[block], states[block], lyap[block]))
+            yield head + render(table, b"," * (2 * n + 1) + b"\n")
+            head = ""
+        return
     # The rows events reach, the agents each sets, and their values in that
     # order; ``marks[k]:marks[k + 1]`` is reached[k]'s share of ``values``.
     reached, agents, values, marks = [], [], [], [0]
@@ -707,11 +715,13 @@ def _trace_blocks(trace: Trace):
         values.extend(latest.values())
         marks.append(len(values))
     values = np.array(values, dtype=float)
-    seg = ",".join(strs := ["nan"] * n)
+    texts = [b"nan"] * n
+    seg = b"," + b",".join(texts) + b","
     cols = n + 2
     rows = max(1, _CSV_BLOCK // cols)
-    ends = b"," * n + b"\n\n"  # the row's front (t and x) and V end in a newline
-    head = ",".join(["t", *(f"x_{i}" for i in range(n)), *(f"xhat_{i}" for i in range(n)), "V\n"])
+    # x_{n-1} ends in a tab, which becomes the row's xhat text; the block's
+    # last row and each xhat value end in a vertical tab, which splits them.
+    row_ends = b"," * n + b"\t\n"
     k = 0
     for start in range(0, len(times), rows):
         stop = min(start + rows, len(times))
@@ -722,35 +732,39 @@ def _trace_blocks(trace: Trace):
         table[:, 0], table[:, -1] = times[start:stop], lyap[start:stop]
         table[:, 1:-1] = states[start:stop]
         flat[size:] = values[marks[at]:marks[k]]
-        pieces = render(flat[None, :], ends * len(table) + b"\n" * (len(flat) - size)).split("\n")
-        parts = iter(pieces)  # front, V, front, V, ...
-        fresh = iter(pieces[2 * len(table):])  # then the xhat values, in row order
-        lines = [head]
-        for r, front, v in zip(range(start, stop), parts, parts):
-            if ideal:
-                seg = front.partition(",")[2]
-            elif at < k and reached[at] == r:
-                for i in agents[at]:
-                    strs[i] = next(fresh)
-                seg, at = ",".join(strs), at + 1
-            lines.append(f"{front},{seg},{v}\n")
+        ends = row_ends * (stop - start - 1) + row_ends[:-1] + b"\v" * (len(flat) - size + 1)
+        text, *fresh = render_bytes(flat[None, :], ends).rsplit(b"\v", len(flat) - size + 1)
+        fresh = iter(fresh)  # the xhat values in row order, then b""
+        segs, row = [], start  # each row's xhat text
+        for r, who in zip(reached[at:k], agents[at:k]):
+            segs += [seg] * (r - row)
+            for i in who:
+                texts[i] = next(fresh)
+            seg, row = b"," + b",".join(texts) + b",", r
+        segs += [seg] * (stop - row)
+        yield head + (text.replace(b"\t", b"%s") % tuple(segs)).decode("ascii") + "\n"
         head = ""
-        yield "".join(lines)
-    if head:  # no rows: the header alone
-        yield head
 
 
 def events_to_csv(events) -> str:
     """Render the event log as CSV: t, agent, value.
 
     Network-wide events use agent "ALL" with the broadcast vector
-    semicolon-joined in the value column.
+    semicolon-joined in the value column. Every number is written as
+    ``repr(float)``, the whole log by one ``_floatrepr.render_bytes`` call.
     """
-    lines = ["t,agent,value"]
+    from ._floatrepr import render_bytes
+
+    values, ends, agents = [], [], []  # each t ends in a tab, where ",agent," goes
     for ev in events:
         if ev.agent == ALL_AGENTS:
-            value = ";".join(_fmt(v) for v in np.asarray(ev.value))
-            lines.append(f"{_fmt(ev.t)},ALL,{value}")
+            vector = np.asarray(ev.value, dtype=float).ravel().tolist()
+            values += (ev.t, *vector)
+            ends.append(b"\t" + b";" * (len(vector) - 1) + b"\n")
+            agents.append(b",ALL,")
         else:
-            lines.append(f"{_fmt(ev.t)},{ev.agent},{_fmt(ev.value)}")
-    return "\n".join(lines) + "\n"
+            values += (ev.t, ev.value)
+            ends.append(b"\t\n")
+            agents.append(b",%d," % ev.agent)
+    text = render_bytes(np.array(values, dtype=float)[None, :], b"".join(ends))
+    return "t,agent,value\n" + (text.replace(b"\t", b"%s") % tuple(agents)).decode("ascii")

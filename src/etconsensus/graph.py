@@ -52,6 +52,67 @@ def _vertex_count(n) -> int:
     return count
 
 
+def _kept_as_is(w) -> bool:
+    """Whether a graph can keep w without a copy: a read-only float64 array
+    that owns its data, such as ``from_edges`` builds."""
+    return isinstance(w, np.ndarray) and w.dtype == np.float64 and w.flags.owndata and not w.flags.writeable
+
+
+def _edge_columns(edges):
+    """The ids and weights of ``(i, j, w)`` triples as three arrays, or None
+    unless both ids are integer arrays and the weights numbers."""
+    if not edges:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    try:
+        i, j, w = map(np.asarray, zip(*edges))
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if (i.shape != (len(edges),) or j.shape != i.shape or w.shape != i.shape
+            or i.dtype.kind not in "biu" or j.dtype.kind not in "biu" or w.dtype.kind not in "biuf"):
+        return None
+    return i, j, w.astype(float)
+
+
+def _edge_matrix(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, directed: bool):
+    """The weight matrix of edges given as arrays, or None if any edge is
+    bad (as ``from_edges`` defines it)."""
+    if not (np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j)) and np.all((0.0 < w) & (w < math.inf))):
+        return None
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    keys = i * n + j if directed else np.minimum(i, j) * n + np.maximum(i, j)
+    if len(np.unique(keys)) != len(keys):
+        return None
+    m = np.zeros((n, n))
+    m[i, j] = w
+    if not directed:
+        m[j, i] = w
+    return m
+
+
+def _edge_matrix_one_by_one(n: int, edges, directed: bool) -> np.ndarray:
+    """The weight matrix of ``(i, j, w)`` triples, checked one edge at a
+    time; raises ValueError naming the first bad edge."""
+    w = np.zeros((n, n))
+    for i, j, wij in edges:
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise ValueError(f"edge ({i!r}, {j!r}): vertex ids must be integers")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}): vertex id out of range for n={n}")
+        if i == j:
+            raise ValueError(f"edge ({i}, {j}): self-loop")
+        wij = float(wij)
+        if not (0.0 < wij < math.inf):
+            raise ValueError(f"edge ({i}, {j}): weight must be positive and finite, got {wij}")
+        if w[i, j]:  # an earlier edge set it; undirected, (j, i) sets both
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        w[i, j] = wij
+        if not directed:
+            w[j, i] = wij
+    return w
+
+
 class Neighbors(NamedTuple):
     """Per-vertex neighbour lists, each in ascending vertex id."""
 
@@ -81,7 +142,9 @@ class WeightedDigraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _vertex_count(self.n))
-        w = np.array(self.weights, dtype=float)
+        w = self.weights
+        if not _kept_as_is(w):
+            w = np.array(w, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must be {self.n}x{self.n}, got {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -101,27 +164,17 @@ class WeightedDigraph:
 
         Rejects non-integer or out-of-range ids, self-loops, weights that are
         not positive and finite, and duplicate edges (for undirected graphs,
-        ``(j, i)`` duplicates ``(i, j)``).
+        ``(j, i)`` duplicates ``(i, j)``). The edges are checked as arrays;
+        only if that fails, or the ids are not integer arrays or the weights
+        not numbers, are they checked one by one, which names the first bad
+        edge.
         """
         n = _vertex_count(n)
-        w = np.zeros((n, n))
-        for i, j, wij in edges:
-            try:
-                i, j = operator.index(i), operator.index(j)
-            except TypeError:
-                raise ValueError(f"edge ({i!r}, {j!r}): vertex ids must be integers")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}): vertex id out of range for n={n}")
-            if i == j:
-                raise ValueError(f"edge ({i}, {j}): self-loop")
-            wij = float(wij)
-            if not (0.0 < wij < math.inf):
-                raise ValueError(f"edge ({i}, {j}): weight must be positive and finite, got {wij}")
-            if w[i, j]:  # an earlier edge set it; undirected, (j, i) sets both
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            w[i, j] = wij
-            if not directed:
-                w[j, i] = wij
+        edges = list(edges)
+        w = _edge_matrix(n, *columns, directed) if (columns := _edge_columns(edges)) else None
+        if w is None:
+            w = _edge_matrix_one_by_one(n, edges, directed)
+        w.setflags(write=False)
         return cls(n=n, weights=w, directed=directed)
 
     @functools.cached_property
@@ -308,11 +361,7 @@ def parse_graph(text: str) -> WeightedDigraph:
     is one ``"i j w"`` edge entry (see :func:`graph_from_fields`). Blank lines
     and ``#`` comments are skipped.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("graph file is empty")
     head = lines[0].split()
@@ -326,23 +375,48 @@ def parse_graph(text: str) -> WeightedDigraph:
 def graph_from_fields(n: str, directed: bool, entries, count_field: str) -> WeightedDigraph:
     """Graph from the text of a vertex count (``count_field`` names it in
     errors) and of ``"i j w"`` edge entries: the one parser of graph files
-    and inline ``[graph]`` sections. An edge error quotes its entry."""
+    and inline ``[graph]`` sections. The entries are parsed and checked as
+    arrays; if that fails, they are parsed one by one, and an error quotes
+    the first entry that does not parse or names the first bad edge."""
     try:
         count = int(n)
     except ValueError:
         count = 0
     if count < 1:
         raise ValueError(f"{count_field}: vertex count must be a positive integer, got {n!r}")
-    edges = []
-    for entry in entries:
-        parts = entry.split()
-        if len(parts) != 3:
-            raise ValueError(f"edge entry must be 'i j w', got {entry!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ValueError(f"edge entry {entry!r}: expected integer ids i, j and a number w")
-    return WeightedDigraph.from_edges(count, edges, directed=directed)
+    entries = list(entries)
+    w = _edge_matrix(count, *columns, directed) if (columns := _parse_entries(entries)) else None
+    if w is None:
+        return WeightedDigraph.from_edges(count, [_parse_entry(entry) for entry in entries], directed)
+    w.setflags(write=False)
+    return WeightedDigraph(n=count, weights=w, directed=directed)
+
+
+def _parse_entries(entries):
+    """The ids and weights of ``"i j w"`` entries as three arrays, parsed by
+    ``int`` and ``float`` as ``_parse_entry`` parses them, or None if any
+    entry does not parse. The entries are joined by ";", which no number
+    holds: if every token but the 4th, 8th, ... parses, those are the joins."""
+    tokens = " ; ".join(entries).split()
+    if len(tokens) != 4 * len(entries) - 1:
+        return None
+    try:
+        return (np.fromiter(map(int, tokens[0::4]), np.int64, len(entries)),
+                np.fromiter(map(int, tokens[1::4]), np.int64, len(entries)),
+                np.fromiter(map(float, tokens[2::4]), float, len(entries)))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_entry(entry: str):
+    """(i, j, w) of one ``"i j w"`` entry; raises ValueError quoting it."""
+    parts = entry.split()
+    if len(parts) != 3:
+        raise ValueError(f"edge entry must be 'i j w', got {entry!r}")
+    try:
+        return int(parts[0]), int(parts[1]), float(parts[2])
+    except ValueError:
+        raise ValueError(f"edge entry {entry!r}: expected integer ids i, j and a number w")
 
 
 def load_graph(path) -> WeightedDigraph:

@@ -21,6 +21,7 @@ from etconsensus import (
 from etconsensus import _floatrepr, cli
 from etconsensus.cli import check_bounds, main
 from etconsensus.config import load_config, load_linear_et_config
+from etconsensus.engine import _CSV_BLOCK
 from etconsensus.linear_et import default_t_max, design, simulate_sample_hold
 from etconsensus.metrics import RunMetrics, parse_metrics_csv
 from helpers import assert_same_csv, random_linear_system
@@ -342,6 +343,18 @@ def test_every_write_is_a_str_and_the_writes_make_the_file(tmp_path, monkeypatch
         assert path.stat().st_size == sum(map(len, texts))
 
 
+@pytest.mark.parametrize("command", ["run", "linear-et"])
+def test_each_output_file_is_opened_once(tmp_path, monkeypatch, command):
+    """The trace file's blocks go through one handle, opened once; every
+    other output file is opened once too."""
+    argv, trace = streamed(tmp_path, command)
+    opened, create = [], cli._create
+    monkeypatch.setattr(cli, "_create", lambda path: opened.append(path) or create(path))
+    assert main(argv) == 0
+    assert sorted(opened) == sorted(trace.parent.iterdir())
+    assert trace.stat().st_size > 4 * _CSV_BLOCK
+
+
 @pytest.mark.parametrize("error, code", [(ValueError("renderer failed"), 2),
                                          (KeyboardInterrupt(), None)])
 @pytest.mark.parametrize("command", ["run", "linear-et"])
@@ -352,7 +365,7 @@ def test_a_failure_mid_stream_leaves_no_trace_file(tmp_path, monkeypatch, capsys
     argv, trace = streamed(tmp_path, command)
     assert main(argv) == 0
     old = trace.stat().st_size
-    render, sizes = _floatrepr.render, []
+    render, sizes = _floatrepr.render_bytes, []
 
     def failing(*args):
         sizes.append(trace.stat().st_size if trace.exists() else 0)
@@ -360,7 +373,7 @@ def test_a_failure_mid_stream_leaves_no_trace_file(tmp_path, monkeypatch, capsys
             raise error
         return render(*args)
 
-    monkeypatch.setattr(_floatrepr, "render", failing)
+    monkeypatch.setattr(_floatrepr, "render_bytes", failing)  # under every render call
     if code is None:
         with pytest.raises(type(error)):
             main(argv)

@@ -1,4 +1,6 @@
 import math
+import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -433,6 +435,48 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
         tr = synthetic_trace(xhat, state)
         assert_same_bits(tr.xhats, state if xhat is None else xhat, name)
         assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr), name)
+
+
+def events_by_value(events):
+    """The per-value writer that ``events_to_csv`` replaced."""
+    lines = ["t,agent,value"]
+    for ev in events:
+        if ev.agent == ALL_AGENTS:
+            value = ";".join(repr(float(v)) for v in np.asarray(ev.value))
+            lines.append(f"{float(ev.t)!r},ALL,{value}")
+        else:
+            lines.append(f"{float(ev.t)!r},{ev.agent},{float(ev.value)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def ladder_event_logs():
+    """The event logs of the benchmark's digraph_ladder runs of seed 1."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root))
+    try:
+        from perfbench.workloads import build
+    finally:
+        sys.path.remove(str(root))
+    with tempfile.TemporaryDirectory() as work:
+        cfgs = [load_config(Path(work) / op["config"]) for op in build("digraph_ladder", 1, Path(work))]
+    return [simulate_triggered(c.graph, c.law, c.x0, c.sim).events for c in cfgs]
+
+
+def test_events_csv_matches_per_value_writer(k3):
+    """events.csv through the formatter: the ladder logs, a centralized ALL
+    log, the empty log, and signed zeros, subnormals and both notations as
+    times, values and ALL vectors."""
+    logs = ladder_event_logs()
+    assert sum(map(len, logs)) > 1000
+    centralized = simulate_triggered(k3, CentralizedNorm(sigma=0.5), [0.3, -0.9, 0.5],
+                                     sim_config(k3, horizon=5.0)).events
+    assert len(centralized) > 10 and all(ev.agent == ALL_AGENTS for ev in centralized)
+    specials = [-0.0, 5e-324, 1e-5, 1e16, 0.0, 0.1, -2.5]
+    crafted = ([EventRecord(t=t, agent=i, value=v) for i, (t, v) in enumerate(zip(specials, specials[::-1]))]
+               + [EventRecord(t=1e16, agent=ALL_AGENTS, value=np.array(specials)),
+                  EventRecord(t=1e17, agent=12, value=np.float64(-0.0))])
+    for events in (*logs, centralized, crafted, ()):
+        assert events_to_csv(events) == events_by_value(events)
 
 
 def test_streamed_trace_csv_takes_bounded_memory(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from etconsensus import (
     validate_law,
 )
 from etconsensus.config import load_config
-from etconsensus.graph import BALANCE_TOL, CONNECTIVITY_TOL, _certified_connected
+from etconsensus.graph import (BALANCE_TOL, CONNECTIVITY_TOL, _certified_connected,
+                               _edge_matrix_one_by_one, graph_from_fields)
 from test_golden import load_golden
 
 
@@ -221,6 +223,90 @@ def test_parse_graph_roundtrip():
 def test_parse_graph_rejects(text, message):
     with pytest.raises(ValueError, match=message):
         parse_graph(text)
+
+
+def outcome(build):
+    """The weights build() gives, or the message of the ValueError it raises."""
+    try:
+        return build().weights.tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def entry_by_entry(n, directed, entries):
+    """The graph file parser before entries were parsed as arrays: each entry
+    split and converted in turn, then each edge checked in turn."""
+    edges = []
+    for entry in entries:
+        parts = entry.split()
+        if len(parts) != 3:
+            raise ValueError(f"edge entry must be 'i j w', got {entry!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError:
+            raise ValueError(f"edge entry {entry!r}: expected integer ids i, j and a number w")
+    return WeightedDigraph(n, _edge_matrix_one_by_one(n, edges, directed), directed)
+
+
+BAD_ENTRIES = ["0 0 1.0", "0 9 1.0", "-1 2 1.0", "1 2 0", "1 2 -0.5", "1 2 inf", "1 2 nan",
+               "1 2", "1 2 3 4", "", "1.0 2 3", "a 2 3", "1 2 x", "1 ; 2", "1 2 ;", "; 1 2 3",
+               "1_0 2 3", "٣ 2 1.5", "1 2 1_5", "+1 2 1e0", " 1\t2  3 ", "99999999999999999999 1 1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), directed=st.booleans(), data=st.data())
+def test_entries_parse_as_arrays_as_they_did_one_by_one(n, directed, data):
+    """graph_from_fields and from_edges, which parse and check edges as
+    arrays, build the weights the entry-by-entry parser built, or raise its
+    message, naming the same first bad entry or edge."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    good = st.builds(lambda ij, w: f"{ij[0]} {ij[1]} {w!r}", pair, st.floats(1e-3, 1e3))
+    entries = data.draw(st.lists(st.one_of(good, good, good, st.sampled_from(BAD_ENTRIES)), max_size=30))
+    want = outcome(lambda: entry_by_entry(n, directed, entries))
+    assert outcome(lambda: graph_from_fields(str(n), directed, entries, "graph.n")) == want
+    if isinstance(want, list):
+        edges = [(int(i), int(j), float(w)) for i, j, w in map(str.split, entries)]
+        assert outcome(lambda: WeightedDigraph.from_edges(n, edges, directed)) == want
+
+
+def test_from_edges_takes_what_it_took_one_by_one():
+    """Edges that are not plain ints and floats take the one-by-one checks,
+    with their results: bool and numpy ids, number strings and numpy floats
+    as weights; lists, floats and strings as ids are rejected."""
+    ok = [[(0, 1, "1.5"), (1, 0, np.float32(2.0))], [(True, np.int64(0), 1)], [(np.uint8(2), 0, True)]]
+    for edges in ok:
+        want = _edge_matrix_one_by_one(3, edges, True).tolist()
+        assert WeightedDigraph.from_edges(3, edges).weights.tolist() == want
+    for edges, message in (([([0], 1, 1.0)], "vertex ids must be integers"),
+                           ([(0, "1", 1.0)], "vertex ids must be integers"),
+                           ([(0, 1, 1.0), (1, 2.0, 1.0)], r"edge \(1, 2\.0\)"),
+                           ([(0, 1, 1.0), (0, 1)], "not enough values"),
+                           ([(0, 1, 1.0, 2.0)], "too many values")):
+        with pytest.raises(ValueError, match=message):
+            WeightedDigraph.from_edges(3, edges)
+
+
+def test_from_edges_builds_one_weight_matrix():
+    """The graph keeps the matrix from_edges builds, read-only, without a
+    second copy; a writable matrix given to the constructor is copied."""
+    n = 800
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    WeightedDigraph.from_edges(n, edges)
+    tracemalloc.start()
+    try:
+        g = WeightedDigraph.from_edges(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = 8 * n * n
+    assert g.weights.flags.owndata and not g.weights.flags.writeable
+    assert peak < 1.5 * matrix, (peak, matrix)
+    assert WeightedDigraph(n, g.weights).weights is g.weights
+    mine = np.zeros((2, 2))
+    assert not np.shares_memory(WeightedDigraph(2, mine).weights, mine)
+    frozen_view = np.zeros((4, 4))[:2, :2]
+    frozen_view.setflags(write=False)
+    assert WeightedDigraph(2, frozen_view).weights is not frozen_view
 
 
 def test_generators_produce_valid_ensembles(rng):
