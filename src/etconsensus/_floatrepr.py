@@ -20,19 +20,22 @@ arithmetic:
   The digits are vr // 10^r, plus one if vm reaches that times 10^r or if
   the removed part is at least half of 10^r.
 
-The dropped bits put the computed fraction up to 2^31 below the exact one.
-So a value whose fraction lies within 2^32 of a carry into vr, or whose
-carry into vp or borrow from vm it could turn, is passed to ``repr``, as
-are zero, nan, inf, subnormals, e2 >= 0 (|v| >= 2^54), q < 2, every m2 with
-a zero mantissa, and every 4 m2 that is a multiple of 2^(q-1) (Ryu's
-trailing-zero cases: the short binary fractions such as 0.5, and with q <= 3
-every |v| >= 2^47). Each value's text is laid out in four uint64 words (32
-bytes), in which NUL bytes are padding that is deleted at the end.
+The dropped bits put the computed fraction less than 2^31 + 2^22 below the
+exact one (and not at all above about 1e-13, where they are zero). So a
+value whose fraction lies within 2^32 of a carry into vr, or whose carry
+into vp or borrow from vm it could turn, is passed to ``repr``, as are zero,
+nan, inf, subnormals, e2 >= 0 (|v| >= 2^54), q < 2, every m2 with a zero
+mantissa, and every 4 m2 that is a multiple of 2^(q-1) (Ryu's trailing-zero
+cases: the short binary fractions such as 0.5, and with q <= 3 every
+|v| >= 2^47). The number of digits is read off the float64 exponent of the
+digits, and they become ASCII four at a time, from a table of 0..9999. Each
+value's text is laid out in four uint64 words (32 bytes), in which NUL bytes
+are padding that is deleted at the end.
 
-A call costs about a hundred numpy calls whatever its size, and its
-temporaries are a few arrays of one uint64 per value. Every scalar in the
-uint64 arithmetic is a typed ``np.uint64``, so it promotes the same way
-under numpy 1.x and under NEP 50.
+A call makes about a hundred numpy calls whatever its size, and its
+temporaries come to about thirty uint64 per value, whatever the values.
+Every scalar in the uint64 arithmetic is a typed ``np.uint64``, so it
+promotes the same way under numpy 1.x and under NEP 50.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ _FIXED = (-3, 16)  # decpt range of fixed notation; the layout clamps to one bey
 class _Tables:
     """Per-exponent multipliers, and the layout words per (decpt, digits)."""
 
-    #: Rows of ``by_exp``, one column per sign and biased exponent (bits >> 52):
+    #: Rows of ``by_exp``, one column per biased exponent:
     #: limbs 1..3 of T >> 23 and of (T >> 23) << 23, then I2, G2, the
     #: trailing-zero mask and decpt - r - digits - _DMIN.
     LIMBS, REST = slice(0, 6), slice(6, 10)
@@ -85,7 +88,7 @@ class _Tables:
             tab[:, e] = [*((low >> (32 * k)) & 0xFFFFFFFF for k in range(1, 4)),
                          *(((low << 23) >> (32 * k)) & 0xFFFFFFFF for k in range(1, 4)),
                          (2 * t) >> _SHIFT, ((2 * t) >> 57) & top, tz_mask, (q + e2 - _DMIN) & top]
-        self.by_exp = np.ascontiguousarray(tab[:, np.minimum(np.arange(4096) & 0x7FF, _TOP_EXP)])
+        self.by_exp = np.ascontiguousarray(tab[:, np.minimum(np.arange(2048), _TOP_EXP)])
         self.pow10 = np.array([10**k for k in range(20)], dtype=_U)
         self.pow10f = self.pow10.astype(np.float64)
         # Per biased exponent b of float(x), x >= 1: the digits of 2^(b - 1023)
@@ -96,7 +99,8 @@ class _Tables:
         self.length = np.array(lengths, dtype=np.intp)
         self.above = np.array([min(10**k, (1 << 64) - 1) for k in lengths], dtype=_U)
         # The four ASCII digits of 0..9999, the first in the lowest byte.
-        ascii4 = np.array([int.from_bytes(f"{k:04d}".encode(), "little") for k in range(10000)], dtype=_U)
+        k = np.arange(10000, dtype=_U)
+        ascii4 = sum((((k // _U(10**p) % _U(10)) | _U(0x30)) << _U(8 * (3 - p)) for p in range(4)), _U(0))
         self.ascii4 = ascii4, ascii4 << _U(32)
         self.layout, self.by_decpt = self._layout()
 
@@ -179,7 +183,7 @@ def _interval(bits: np.ndarray):
     """(vr, vp, vm, decpt - r - digits - _DMIN, to ``repr``) of N values
     given as uint64 bit patterns."""
     tab = _tables()
-    e = (bits >> _U(52)).astype(np.intp)
+    e = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
     vr, frac = _product((bits & _U((1 << 52) - 1)) | _U(1 << 52), tab.by_exp[tab.LIMBS].take(e, axis=1))
     i2, g2, tz, decpt = tab.by_exp[tab.REST].take(e, axis=1)
     total = frac + g2
@@ -202,10 +206,10 @@ def _digits(bits: np.ndarray):
     # Past k = 3 they are counted in float64, where vp // 1000 < 2^53 and
     # floor(a / b) is exact for a < 2^53 and b a power of ten.
     r = np.add(vp // _U(10) > vm // _U(10), vp // _U(100) > vm // _U(100), dtype=np.intp)
-    vp //= _U(1000)
-    keep = np.flatnonzero(vp > vm // _U(1000))
+    hi, lo = vp // _U(1000), vm // _U(1000)
+    keep = np.flatnonzero(hi > lo)
     if len(keep):
-        hi, lo = vp[keep].astype(np.float64), (vm[keep] // _U(1000)).astype(np.float64)
+        hi, lo = hi[keep].astype(np.float64), lo[keep].astype(np.float64)
         count = np.zeros(len(keep), dtype=np.intp)  # the k > 3
         for step in (8, 4, 2, 1):
             div = tab.pow10f[step:].take(count)
@@ -213,8 +217,8 @@ def _digits(bits: np.ndarray):
         r[keep] = count + 3
     div = tab.pow10.take(r)
     out = vr // div
-    vp = out * div  # vr rounded down to a multiple of div
-    out += (vm >= vp) | ((vr - vp) * _U(2) >= div)
+    low = out * div
+    out += (vm >= low) | ((vr - low) * _U(2) >= div)
     b = out.astype(np.float64).view(_U) >> _U(52)
     ndig = tab.length.take(b) + (out >= tab.above.take(b))
     decpt += r
@@ -279,7 +283,6 @@ def render(values: np.ndarray, ends: bytes) -> str:
 def render_bytes(values: np.ndarray, ends: bytes) -> bytes:
     """``render``'s text as ASCII bytes."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    rows, cols = values.shape
     if not values.size:
         return b""
     tail = np.frombuffer(ends, dtype=np.uint8).astype(_U) << _U(56)

@@ -719,22 +719,23 @@ def _trace_blocks(trace: Trace):
     seg = b"," + b",".join(texts) + b","
     cols = n + 2
     rows = max(1, _CSV_BLOCK // cols)
-    # x_{n-1} ends in a tab, which becomes the row's xhat text; the block's
-    # last row and each xhat value end in a vertical tab, which splits them.
+    # A block renders its xhat values first, each ending in a vertical tab,
+    # then its rows, in which x_{n-1} ends in a tab: the row's xhat text goes
+    # there, by one bytes formatting call for the block.
     row_ends = b"," * n + b"\t\n"
+    head = head.encode()
     k = 0
     for start in range(0, len(times), rows):
         stop = min(start + rows, len(times))
         at, k = k, bisect.bisect_left(reached, stop, k)  # this block's rows reached[at:k]
-        size = (stop - start) * cols
-        flat = np.empty(size + marks[k] - marks[at])
-        table = flat[:size].reshape(-1, cols)
+        count = marks[k] - marks[at]
+        flat = np.empty(count + (stop - start) * cols)
+        flat[:count] = values[marks[at]:marks[k]]
+        table = flat[count:].reshape(-1, cols)
         table[:, 0], table[:, -1] = times[start:stop], lyap[start:stop]
         table[:, 1:-1] = states[start:stop]
-        flat[size:] = values[marks[at]:marks[k]]
-        ends = row_ends * (stop - start - 1) + row_ends[:-1] + b"\v" * (len(flat) - size + 1)
-        text, *fresh = render_bytes(flat[None, :], ends).rsplit(b"\v", len(flat) - size + 1)
-        fresh = iter(fresh)  # the xhat values in row order, then b""
+        *fresh, text = render_bytes(flat[None, :], b"\v" * count + row_ends * (stop - start)).split(b"\v", count)
+        fresh = iter(fresh)
         segs, row = [], start  # each row's xhat text
         for r, who in zip(reached[at:k], agents[at:k]):
             segs += [seg] * (r - row)
@@ -742,8 +743,8 @@ def _trace_blocks(trace: Trace):
                 texts[i] = next(fresh)
             seg, row = b"," + b",".join(texts) + b",", r
         segs += [seg] * (stop - row)
-        yield head + (text.replace(b"\t", b"%s") % tuple(segs)).decode("ascii") + "\n"
-        head = ""
+        yield (head + text.replace(b"\t", b"%s") % tuple(segs)).decode("ascii")
+        head = b""
 
 
 def events_to_csv(events) -> str:

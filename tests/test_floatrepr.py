@@ -141,9 +141,9 @@ def test_midpoints_next_to_an_integer(biased):
     """Values whose vr, vp or vm, (4 m2 + c) T / 2^121 for c = 0, 2, -2, lie
     within 2^-40 of an integer, above or below, and random values of the same
     exponent. The product drops T's lowest bits and column, which puts its
-    64 fraction bits up to 2^-33 low (below about 1e-20, where T is no exact
-    power of five); so every value the formatter keeps must get exactly the
-    vr, vp and vm of Ryu's table, and the rest go to ``repr``."""
+    64 fraction bits up to 2^-33 low (below about 1e-13; above, the dropped
+    bits of T are zero); so every value the formatter keeps must get exactly
+    the vr, vp and vm of Ryu's table, and the rest go to ``repr``."""
     e2 = biased - 1077
     q, t = _pow5_table(e2)
     m, width = 1 << 121, 1 << 81
