@@ -171,7 +171,8 @@ class WeightedDigraph:
         """
         n = _vertex_count(n)
         edges = list(edges)
-        w = _edge_matrix(n, *columns, directed) if (columns := _edge_columns(edges)) else None
+        columns = _edge_columns(edges)
+        w = None if columns is None else _edge_matrix(n, *columns, directed)
         if w is None:
             w = _edge_matrix_one_by_one(n, edges, directed)
         w.setflags(write=False)
@@ -385,7 +386,8 @@ def graph_from_fields(n: str, directed: bool, entries, count_field: str) -> Weig
     if count < 1:
         raise ValueError(f"{count_field}: vertex count must be a positive integer, got {n!r}")
     entries = list(entries)
-    w = _edge_matrix(count, *columns, directed) if (columns := _parse_entries(entries)) else None
+    columns = _parse_entries(entries)
+    w = None if columns is None else _edge_matrix(count, *columns, directed)
     if w is None:
         return WeightedDigraph.from_edges(count, [_parse_entry(entry) for entry in entries], directed)
     w.setflags(write=False)
