@@ -78,14 +78,13 @@ def _edge_matrix(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, directed: 
     bad (as ``from_edges`` defines it)."""
     if not (np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j)) and np.all((0.0 < w) & (w < math.inf))):
         return None
-    i, j = i.astype(np.int64), j.astype(np.int64)
-    keys = i * n + j if directed else np.minimum(i, j) * n + np.maximum(i, j)
-    if len(np.unique(keys)) != len(keys):
-        return None
+    i, j = i.astype(np.intp), j.astype(np.intp)  # bool ids index as 0 and 1
     m = np.zeros((n, n))
     m[i, j] = w
     if not directed:
         m[j, i] = w
+    if np.count_nonzero(m) != len(w) * (1 if directed else 2):  # a duplicate set a weight twice
+        return None
     return m
 
 
