@@ -32,7 +32,7 @@ digits, and they become ASCII four at a time, from a table of 0..9999. Each
 value's text is laid out in four uint64 words (32 bytes), in which NUL bytes
 are padding that is deleted at the end.
 
-A call makes about a hundred numpy calls whatever its size, and its
+A call makes about 130 numpy operations whatever its size, and its
 temporaries come to about thirty uint64 per value, whatever the values.
 Every scalar in the uint64 arithmetic is a typed ``np.uint64``, so it
 promotes the same way under numpy 1.x and under NEP 50.

@@ -13,7 +13,7 @@ an earlier run left in its directory: ``metrics.csv`` and the run files at
 the top and in every ``point_NNN/``. So a point or run that fails, or a run
 of fewer points, leaves none of an earlier run's files. ``trace.csv`` and
 ``linear_et_trace.csv`` are written a block of rows at a time, as each is
-rendered; a failure on the way removes the file.
+rendered, through one handle; a failure on the way removes the file.
 """
 
 from __future__ import annotations
