@@ -117,7 +117,8 @@ class _Tables:
         then for words 1 and 2 the kept bytes before the point, the kept bytes
         from the point on, and the point. Class (decpt + 4) * 18 + digits,
         decpt clamped to -4..17: all classes beyond fixed notation lay out
-        alike. The suffix ("e-05", in bytes 1..5 of word 3).
+        alike. ``by_decpt`` holds that class for digits = 0 and the suffix
+        ("e-05", in bytes 1..5 of word 3).
         """
         lo, hi = _FIXED
 
@@ -262,8 +263,8 @@ def _words(bits: np.ndarray, ends: np.ndarray) -> np.ndarray:
     carry = moved >> _U(56)
     moved = w2 & k2b
     np.bitwise_or((w2 & k2a) | (moved << _U(8)), dot2 | carry, out=words[:, 2])
-    last = words[:, 3].reshape(-1, len(ends))
-    np.bitwise_or(((moved >> _U(56)) | suffix).reshape(last.shape), ends, out=last)
+    word3 = words[:, 3].reshape(-1, len(ends))
+    np.bitwise_or(((moved >> _U(56)) | suffix).reshape(word3.shape), ends, out=word3)
 
     slow = np.flatnonzero(fallback)
     if len(slow):
