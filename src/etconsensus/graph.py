@@ -33,12 +33,11 @@ BALANCE_TOL = 1e-12
 #: eigenvalue is not simple.
 CONNECTIVITY_TOL = 1e-10
 
-#: Margin the connectivity certificate leaves for the rounding of the
-#: eigenvalue test, in units of n eps times the largest degree d_max. LAPACK
-#: bounds an eigenvalue's error by p(n) eps ||A||_2, p(n) a modest function
-#: of n, taken here as 8 n on ||(L + L^T)/2||_2 <= 2 d_max.
-_EIG_ROUNDING = 16.0
-_EPS = float(np.finfo(float).eps)
+
+def _rounding_margin(n: int) -> float:
+    """The rounding the connectivity certificate allows for at n vertices,
+    in units of the largest degree (see ``_certified_connected``)."""
+    return (2.0 * n + 3.0) * n * float(np.finfo(float).eps)
 
 
 def _vertex_count(n) -> int:
@@ -52,33 +51,11 @@ def _vertex_count(n) -> int:
     return count
 
 
-def _kept_as_is(w) -> bool:
-    """Whether a graph can keep w without a copy: a read-only float64 array
-    that owns its data, such as ``from_edges`` builds."""
-    return isinstance(w, np.ndarray) and w.dtype == np.float64 and w.flags.owndata and not w.flags.writeable
-
-
-def _edge_columns(edges):
-    """The ids and weights of ``(i, j, w)`` triples as three arrays, or None
-    unless both ids are integer arrays and the weights numbers."""
-    if not edges:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
-    try:
-        i, j, w = map(np.asarray, zip(*edges))
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if (i.shape != (len(edges),) or j.shape != i.shape or w.shape != i.shape
-            or i.dtype.kind not in "biu" or j.dtype.kind not in "biu" or w.dtype.kind not in "biuf"):
-        return None
-    return i, j, w.astype(float)
-
-
 def _edge_matrix(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray, directed: bool):
     """The weight matrix of edges given as arrays, or None if any edge is
     bad (as ``from_edges`` defines it)."""
     if not (np.all((0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j)) and np.all((0.0 < w) & (w < math.inf))):
         return None
-    i, j = i.astype(np.intp), j.astype(np.intp)  # bool ids index as 0 and 1
     m = np.zeros((n, n))
     m[i, j] = w
     if not directed:
@@ -141,9 +118,7 @@ class WeightedDigraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _vertex_count(self.n))
-        w = self.weights
-        if not _kept_as_is(w):
-            w = np.array(w, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights must be {self.n}x{self.n}, got {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -163,19 +138,22 @@ class WeightedDigraph:
 
         Rejects non-integer or out-of-range ids, self-loops, weights that are
         not positive and finite, and duplicate edges (for undirected graphs,
-        ``(j, i)`` duplicates ``(i, j)``). The edges are checked as arrays;
-        only if that fails, or the ids are not integer arrays or the weights
-        not numbers, are they checked one by one, which names the first bad
-        edge.
+        ``(j, i)`` duplicates ``(i, j)``), naming the first bad edge.
         """
         n = _vertex_count(n)
-        edges = list(edges)
-        columns = _edge_columns(edges)
-        w = None if columns is None else _edge_matrix(n, *columns, directed)
-        if w is None:
-            w = _edge_matrix_one_by_one(n, edges, directed)
+        return cls._holding(n, _edge_matrix_one_by_one(n, edges, directed), directed)
+
+    @classmethod
+    def _holding(cls, n: int, w: np.ndarray, directed: bool) -> "WeightedDigraph":
+        """A graph that keeps ``w`` itself, made read-only: a weight matrix
+        this module built from edges that passed the checks of
+        ``from_edges``, so it meets the constructor's checks and no caller
+        holds it. One dense n x n matrix, not the constructor's second copy."""
         w.setflags(write=False)
-        return cls(n=n, weights=w, directed=directed)
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("weights", w), ("directed", directed)):
+            object.__setattr__(g, name, value)
+        return g
 
     @functools.cached_property
     def neighbors(self) -> Neighbors:
@@ -300,10 +278,18 @@ def _certified_connected(g: WeightedDigraph) -> bool:
     the Laplacian of weights (w_ij + w_ji)/2 >= w_min/2 on it plus
     diag(d_out - d_in)/2. So Mohar's lambda_2 >= 4 / (n diameter) for unit
     weights (Graphs Combin. 7, 1991) and Weyl's inequality give
-    lambda_2 >= w_min / (n depth) - max |d_out - d_in| / 2. The bound must
-    clear ``CONNECTIVITY_TOL`` times the largest degree by more than
-    ``_EIG_ROUNDING`` n eps times it, for the rounding of the degree sums and
-    of ``eigvalsh``.
+    lambda_2 >= w_min / (n depth) - max |d_out - d_in| / 2.
+
+    The bound must clear ``CONNECTIVITY_TOL`` times the largest degree d_max
+    by ``(2 n + 3) n`` eps d_max, for rounding. The degree sums of both tests
+    are each within about n eps d_max. LAPACK's symmetric eigensolvers return
+    each eigenvalue within p(n) eps ||A||_2 of the exact one of the matrix
+    they are given (LAPACK Users' Guide, 3rd ed., section 4.7), and
+    ||A||_2 <= 2 d_max here. The Guide calls p(n) a modestly growing function
+    of n and takes p(n) = 1 in its own error estimates; the margin assumes
+    p(n) <= n^2. So the two tests agree wherever ``eigvalsh`` is that
+    accurate: ``tests/test_graph.py`` measures its error on Laplacians of
+    known spectrum at n = 1000, where it is below n eps ||A||_2.
     """
     nbrs = g.neighbors
     depth = _depth(nbrs.out, nbrs.into)
@@ -312,7 +298,7 @@ def _certified_connected(g: WeightedDigraph) -> bool:
     scale = _degree_scale(g)
     w_min = min(min(ws) for ws in nbrs.out_weights if ws)
     imbalance = float(np.abs(g.out_degrees - g.in_degrees).max())
-    slack = 0.5 * imbalance + _EIG_ROUNDING * g.n * _EPS * scale
+    slack = 0.5 * imbalance + _rounding_margin(g.n) * scale
     return w_min / (g.n * depth) - slack > CONNECTIVITY_TOL * scale
 
 
@@ -389,8 +375,7 @@ def graph_from_fields(n: str, directed: bool, entries, count_field: str) -> Weig
     w = None if columns is None else _edge_matrix(count, *columns, directed)
     if w is None:
         return WeightedDigraph.from_edges(count, [_parse_entry(entry) for entry in entries], directed)
-    w.setflags(write=False)
-    return WeightedDigraph(n=count, weights=w, directed=directed)
+    return WeightedDigraph._holding(count, w, directed)
 
 
 def _parse_entries(entries):

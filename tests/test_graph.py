@@ -25,7 +25,7 @@ from etconsensus import (
 )
 from etconsensus.config import load_config
 from etconsensus.graph import (BALANCE_TOL, CONNECTIVITY_TOL, _certified_connected,
-                               _edge_matrix_one_by_one, graph_from_fields)
+                               _edge_matrix_one_by_one, _rounding_margin, graph_from_fields)
 from test_golden import load_golden
 
 
@@ -256,9 +256,9 @@ BAD_ENTRIES = ["0 0 1.0", "0 9 1.0", "-1 2 1.0", "1 2 0", "1 2 -0.5", "1 2 inf",
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 12), directed=st.booleans(), data=st.data())
 def test_entries_parse_as_arrays_as_they_did_one_by_one(n, directed, data):
-    """graph_from_fields and from_edges, which parse and check edges as
-    arrays, build the weights the entry-by-entry parser built, or raise its
-    message, naming the same first bad entry or edge."""
+    """graph_from_fields, which parses and checks the entries as arrays, and
+    from_edges build the weights the entry-by-entry parser built, or raise
+    its message, naming the same first bad entry or edge."""
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     good = st.builds(lambda ij, w: f"{ij[0]} {ij[1]} {w!r}", pair, st.floats(1e-3, 1e3))
     entries = data.draw(st.lists(st.one_of(good, good, good, st.sampled_from(BAD_ENTRIES)), max_size=30))
@@ -269,44 +269,29 @@ def test_entries_parse_as_arrays_as_they_did_one_by_one(n, directed, data):
         assert outcome(lambda: WeightedDigraph.from_edges(n, edges, directed)) == want
 
 
-def test_from_edges_takes_what_it_took_one_by_one():
-    """Edges that are not plain ints and floats take the one-by-one checks,
-    with their results: bool and numpy ids, number strings and numpy floats
-    as weights; lists, floats and strings as ids are rejected."""
-    ok = [[(0, 1, "1.5"), (1, 0, np.float32(2.0))], [(True, np.int64(0), 1)], [(np.uint8(2), 0, True)]]
-    for edges in ok:
-        want = _edge_matrix_one_by_one(3, edges, True).tolist()
-        assert WeightedDigraph.from_edges(3, edges).weights.tolist() == want
-    for edges, message in (([([0], 1, 1.0)], "vertex ids must be integers"),
-                           ([(0, "1", 1.0)], "vertex ids must be integers"),
-                           ([(0, 1, 1.0), (1, 2.0, 1.0)], r"edge \(1, 2\.0\)"),
-                           ([(0, 1, 1.0), (0, 1)], "not enough values"),
-                           ([(0, 1, 1.0, 2.0)], "too many values")):
-        with pytest.raises(ValueError, match=message):
-            WeightedDigraph.from_edges(3, edges)
-
-
-def test_from_edges_builds_one_weight_matrix():
-    """The graph keeps the matrix from_edges builds, read-only, without a
-    second copy; a writable matrix given to the constructor is copied."""
+def test_graphs_built_from_edges_hold_one_weight_matrix():
+    """from_edges and the graph-file parser keep the matrix they build,
+    read-only, without a second copy; the constructor copies every array it
+    is given, a read-only one that owns its data included."""
     n = 800
     edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    WeightedDigraph.from_edges(n, edges)
-    tracemalloc.start()
-    try:
-        g = WeightedDigraph.from_edges(n, edges)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    matrix = 8 * n * n
-    assert g.weights.flags.owndata and not g.weights.flags.writeable
-    assert peak < 1.5 * matrix, (peak, matrix)
-    assert WeightedDigraph(n, g.weights).weights is g.weights
-    mine = np.zeros((2, 2))
-    assert not np.shares_memory(WeightedDigraph(2, mine).weights, mine)
-    frozen_view = np.zeros((4, 4))[:2, :2]
-    frozen_view.setflags(write=False)
-    assert WeightedDigraph(2, frozen_view).weights is not frozen_view
+    text = f"{n} directed\n" + "".join(f"{i} {j} {w}\n" for i, j, w in edges)
+    for build in (lambda: WeightedDigraph.from_edges(n, edges), lambda: parse_graph(text)):
+        build()
+        tracemalloc.start()
+        try:
+            g = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * n * n
+        assert g.weights.flags.owndata and not g.weights.flags.writeable
+        assert peak < 1.5 * matrix, (peak, matrix)
+        assert not np.shares_memory(WeightedDigraph(n, g.weights).weights, g.weights)
+    frozen = np.zeros((2, 2))
+    frozen.setflags(write=False)
+    for mine in (np.zeros((2, 2)), frozen):
+        assert not np.shares_memory(WeightedDigraph(2, mine).weights, mine)
 
 
 def test_generators_produce_valid_ensembles(rng):
@@ -496,6 +481,48 @@ def test_certificate_never_accepts_what_the_eigenvalue_test_rejects(drawn):
         assert lam2 > CONNECTIVITY_TOL * max(d_out.max(), d_in.max())
         bound = w[w > 0.0].min() / (n * support_eccentricity(w))
         assert lam2 >= bound * (1.0 - 1e-9) - 0.5 * np.abs(d_out - d_in).max()
+
+
+def path_graph(n, end_weight=1.0):
+    """The undirected path 0 - 1 - ... - n-1, unit weights but the last edge."""
+    return WeightedDigraph.from_edges(
+        n, [(i, i + 1, 1.0) for i in range(n - 2)] + [(n - 2, n - 1, end_weight)], directed=False)
+
+
+def test_eigvalsh_error_is_within_the_certificate_margin_at_large_n():
+    """On Laplacians of known spectrum at n = 1000 (the path, the directed
+    cycle, the star and the complete graph), every eigenvalue of the
+    symmetrized Laplacian as spectral_info forms it is within
+    n eps ||A||_2 of the exact one: well inside the n^2 eps ||A||_2 the
+    certificate's rounding margin assumes."""
+    n, k = 1000, np.arange(1000)
+    known = [
+        (path_graph(n), 2.0 - 2.0 * np.cos(k * np.pi / n)),
+        (WeightedDigraph.from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)]),
+         1.0 - np.cos(2.0 * np.pi * k / n)),
+        (WeightedDigraph.from_edges(n, [(0, i, 1.0) for i in range(1, n)], directed=False),
+         np.r_[0.0, np.ones(n - 2), n]),
+        (WeightedDigraph(n, 1.0 - np.eye(n), directed=False), np.r_[0.0, np.full(n - 1, float(n))]),
+    ]
+    for g, exact in known:
+        lap = laplacian(g)
+        error = np.abs(np.linalg.eigvalsh(0.5 * (lap + lap.T)) - np.sort(exact)).max()
+        assert error <= n * np.finfo(float).eps * exact.max(), error  # ||A||_2, A >= 0
+
+
+def test_certificate_threshold_at_large_n():
+    """At n = 1000, a path whose last edge weighs just over or just under
+    what the certificate needs is certified or left to the eigenvalue test,
+    and on both sides validate_graph gives spectral_info's verdict and the
+    computed lambda_2 clears the tolerance by the bound's own margin."""
+    n = 1000
+    scale = 2.0  # the largest degree of every such path
+    need = (CONNECTIVITY_TOL + _rounding_margin(n)) * scale * n * (n - 1)  # w_min / (n depth)
+    for factor, certified in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+        g = path_graph(n, need * factor)
+        assert _certified_connected(g) == certified
+        validate_graph(g)
+        assert spectral_info(g).lambda2 >= need * factor / (n * (n - 1)) > CONNECTIVITY_TOL * scale
 
 
 def test_shipped_and_ladder_graphs_are_certified(tmp_path):
