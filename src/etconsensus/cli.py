@@ -13,7 +13,8 @@ an earlier run left in its directory: ``metrics.csv`` and the run files at
 the top and in every ``point_NNN/``. So a point or run that fails, or a run
 of fewer points, leaves none of an earlier run's files. ``trace.csv`` and
 ``linear_et_trace.csv`` are written a block of rows at a time, as each is
-rendered, through one handle; a failure on the way removes the file.
+rendered, through one handle. A failure on the way to any output file
+removes it: no partial file is left.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .config import (
     sweep_points,
 )
 from .engine import (
-    _CSV_BLOCK,
+    _plain_blocks,
     events_to_csv,
     min_inter_event_bound_centralized,
     convergence_radius_time_trigger,
@@ -171,13 +172,26 @@ def _create(path: Path):
     return open(path, "x", newline="\n")
 
 
+@contextlib.contextmanager
+def _whole_or_none(path: Path):
+    """Remove path if the body fails, for any reason, so no partial file
+    (nor one an earlier run left) survives."""
+    try:
+        yield
+    except BaseException:
+        with contextlib.suppress(OSError):
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _write(path: Path, text: str, into=None) -> None:
-    """Replace the file at path with text (``_create``); given ``into``, the
-    handle ``_streaming`` holds open on path, add text to its end."""
+    """Replace the file at path with text (``_create``), leaving no file if
+    that fails; given ``into``, the handle ``_streaming`` holds open on path,
+    add text to its end."""
     if into is not None:
         into.write(text)
         return
-    with _create(path) as fh:
+    with _whole_or_none(path), _create(path) as fh:
         fh.write(text)
 
 
@@ -185,15 +199,9 @@ def _write(path: Path, text: str, into=None) -> None:
 def _streaming(path: Path):
     """Yield a function that writes each text it is given to path, as it
     comes, through one handle on a file that replaces any at path
-    (``_create``). If the body fails, for any reason, path is removed, so no
-    partial file (nor one an earlier run left) survives."""
-    try:
-        with _create(path) as fh:
-            yield functools.partial(_write, path, into=fh)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            path.unlink(missing_ok=True)
-        raise
+    (``_create``). If the body fails, for any reason, path is removed."""
+    with _whole_or_none(path), _create(path) as fh:
+        yield functools.partial(_write, path, into=fh)
 
 
 #: The files ``run`` writes for one run or sweep point, into its directory.
@@ -295,20 +303,13 @@ def cmd_linear_et(args) -> int:
         samples_per_interval=lcfg.samples_per_interval, t_max=t_max,
     )
     out_dir = Path(args.output_dir or lcfg.output_dir)
-    from ._floatrepr import render  # on first use, as in engine.trace_to_csv
-
-    cols = lyap.n + 3
-    rows = max(1, _CSV_BLOCK // cols)  # whole rows of about _CSV_BLOCK values per block
     # A failed rerun leaves neither file of an earlier run.
     (out_dir / "linear_et_events.csv").unlink(missing_ok=True)
     with _streaming(out_dir / "linear_et_trace.csv") as write:
         head = "t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S\n"
-        for i in range(0, len(trace.times), rows):  # the first sample is t = 0
-            block = slice(i, i + rows)
-            table = np.column_stack((trace.times[block], trace.states[block],
-                                     trace.v_values[block], trace.s_values[block]))
-            write(head + render(table, b"," * (cols - 1) + b"\n"))
-            head = ""
+        columns = (trace.times, trace.states, trace.v_values, trace.s_values)
+        for text in _plain_blocks(head, columns):  # the first sample is t = 0
+            write(text)
     ev_lines = ["l,t,gap"]
     for idx, t in enumerate(trace.event_times):
         gap = t - trace.event_times[idx - 1] if idx else math.nan

@@ -84,7 +84,7 @@ LAWS = {
     "periodic_state_dependent": (PeriodicStateDependent, ("h",), True),
 }
 
-SIM_KEYS = ("dt", "horizon", "zeno_floor", "sample_every")
+SIM_KEYS = ("dt", "horizon", "zeno_floor")
 
 
 @dataclass(frozen=True)
@@ -211,17 +211,7 @@ def _parse_sim_section(parser, g: WeightedDigraph):
         raise ConfigError(f"sim: unknown keys {sorted(unknown)}")
     if "horizon" not in section:
         raise ConfigError("sim.horizon: missing")
-    kwargs = {}
-    for key in SIM_KEYS:
-        if key not in section:
-            continue
-        if key == "sample_every":
-            try:
-                kwargs[key] = int(section[key])
-            except ValueError:
-                raise ConfigError(f"sim.sample_every: expected integer, got {section[key]!r}")
-        else:
-            kwargs[key] = _float(section[key], f"sim.{key}")
+    kwargs = {key: _float(section[key], f"sim.{key}") for key in SIM_KEYS if key in section}
     try:
         return sim_config(g, **kwargs)
     except InvalidParameter as exc:
@@ -284,8 +274,6 @@ def _parse_sweep_section(parser, law) -> tuple:
         values = _floats(raw, f"sweep.{key}")
         if not values:
             raise ConfigError(f"sweep.{key}: empty value list")
-        if key == "sim.sample_every" and not all(v == int(v) and v >= 1 for v in values):
-            raise ConfigError(f"sweep.{key}: values must be integers >= 1, got {raw!r}")
         entries.append((key, tuple(values)))
     return tuple(entries)
 
@@ -331,7 +319,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict):
             if target == "law":
                 law = dataclasses.replace(law, **{field: value})
             else:
-                sim_fields[field] = int(value) if field == "sample_every" else float(value)
+                sim_fields[field] = float(value)
         if law is not None:
             validate_law(law, cfg.graph)
         sim = dataclasses.replace(cfg.sim, **sim_fields)

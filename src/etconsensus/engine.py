@@ -64,15 +64,14 @@ class SimConfig:
 
     ``dt`` is the spacing of the sampled trace (and of the Zeno budget
     windows), used as given for every law: it moves no event, the periodic
-    law's included. ``zeno_floor`` is the smallest believable inter-event
-    spacing (smaller gaps are flagged), and ``sample_every`` the trace
-    decimation stride.
+    law's included: the rows are t = 0 and min(k dt, horizon) for every step
+    k. ``zeno_floor`` is the smallest believable inter-event spacing
+    (smaller gaps are flagged).
     """
 
     dt: float
     horizon: float
     zeno_floor: float = 1e-7
-    sample_every: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
@@ -83,8 +82,6 @@ class SimConfig:
             raise InvalidParameter(
                 f"zeno_floor must lie in [0, dt={self.dt}), got {self.zeno_floor}"
             )
-        if int(self.sample_every) < 1:
-            raise InvalidParameter(f"sample_every must be >= 1, got {self.sample_every}")
 
 
 def sim_config(
@@ -92,20 +89,15 @@ def sim_config(
     horizon: float,
     dt: Optional[float] = None,
     zeno_floor: float = 1e-7,
-    sample_every: int = 1,
 ) -> SimConfig:
-    """Build a SimConfig with graph-aware defaults.
+    """Build a SimConfig with graph-aware defaults, every setting a float.
 
-    dt defaults to 0.01 / lambda_N (the trace resolves the fastest mode).
+    dt, the row spacing, defaults to 0.01 / lambda_N (the trace resolves the
+    fastest mode).
     """
     if dt is None:
         dt = 0.01 / spectral_info(g).lambda_n
-    return SimConfig(
-        dt=float(dt),
-        horizon=float(horizon),
-        zeno_floor=float(zeno_floor),
-        sample_every=int(sample_every),
-    )
+    return SimConfig(dt=float(dt), horizon=float(horizon), zeno_floor=float(zeno_floor))
 
 
 @dataclass(frozen=True)
@@ -177,15 +169,11 @@ def _check_x0(g: WeightedDigraph, x0) -> np.ndarray:
     return x0.copy()
 
 
-def _sample_grid(dt: float, horizon: float, sample_every: int):
-    """(n_steps, times): the step count of the dt grid and the recorded sample
-    times, t = 0 and min(k dt, horizon) for every ``sample_every``-th step k
-    and the last one."""
-    n_steps = int(math.ceil(horizon / dt - 1e-9))
-    ks = np.arange(sample_every, n_steps + 1, sample_every)
-    if not ks.size or ks[-1] != n_steps:
-        ks = np.append(ks, n_steps)
-    return n_steps, np.concatenate(([0.0], np.minimum(ks * dt, horizon)))
+def _sample_grid(dt: float, horizon: float) -> np.ndarray:
+    """The sample times: t = 0 and min(k dt, horizon) for every step k of the
+    dt grid, of which there is at least one."""
+    n_steps = max(1, math.ceil(horizon / dt - 1e-9))
+    return np.concatenate(([0.0], np.minimum(np.arange(1, n_steps + 1) * dt, horizon)))
 
 
 def _lyapunov(states: np.ndarray, xbar: float) -> np.ndarray:
@@ -214,7 +202,7 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     x0 = _check_x0(g, x0)
     lap = laplacian(g)
     dt, horizon = cfg.dt, cfg.horizon
-    n_steps, times = _sample_grid(dt, horizon, cfg.sample_every)
+    times = _sample_grid(dt, horizon)
     # exp(-L t) fixes constant vectors, so propagate the offset from the mean
     # of x0: no O(1) consensus component is stepped, whose rounding would
     # floor the disagreement. An agreement state's offset is a constant of
@@ -224,14 +212,12 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     offset = x0 - base
     states = np.empty((len(times), g.n))
     states[0] = x0
-    row = 1
+    n_steps = len(times) - 1
     for k in range(1, n_steps + 1):
         if k == n_steps and k * dt > horizon:
             step = _propagator(lap, horizon - (k - 1) * dt)
         offset = step @ offset
-        if k % cfg.sample_every == 0 or k == n_steps:
-            states[row] = base + offset
-            row += 1
+        states[k] = base + offset
     return Trace(
         times=times,
         states=states,
@@ -532,7 +518,7 @@ def simulate_triggered(
     n = g.n
 
     dt, periodic = cfg.dt, isinstance(law, PeriodicStateDependent)
-    times = _sample_grid(dt, cfg.horizon, cfg.sample_every)[1]
+    times = _sample_grid(dt, cfg.horizon)
     t_end = times[-1]
 
     members, affected, moved, reads, refresh, holds, delay = _law_rule(g, law)
@@ -688,9 +674,23 @@ def trace_to_csv(trace: Trace, write: Optional[Callable[[str], object]] = None) 
     return None
 
 
+def _plain_blocks(head: str, columns):
+    """Yield the CSV text of the columns (1-d, or 2-d for several) side by
+    side, after head, in blocks of whole rows (at least one) of about
+    _CSV_BLOCK values: one ``_floatrepr.render`` call per block."""
+    from ._floatrepr import render  # on first use, so that importing the package does not load it
+
+    cols = sum(c.shape[1] if c.ndim > 1 else 1 for c in columns)
+    rows = max(1, _CSV_BLOCK // cols)
+    for start in range(0, len(columns[0]), rows):
+        block = slice(start, start + rows)
+        yield head + render(np.column_stack([c[block] for c in columns]), b"," * (cols - 1) + b"\n")
+        head = ""
+
+
 def _trace_blocks(trace: Trace):
     """Yield ``trace_to_csv``'s text, one block of rows at a time."""
-    from ._floatrepr import render, render_bytes  # on first use, so that importing the package does not load it
+    from ._floatrepr import render_bytes  # on first use, so that importing the package does not load it
 
     n = trace.n
     times, states, lyap = trace.times, trace.states, trace.lyapunov
@@ -699,12 +699,7 @@ def _trace_blocks(trace: Trace):
         yield head
         return
     if not trace.events:
-        rows = max(1, _CSV_BLOCK // (2 * n + 2))
-        for start in range(0, len(times), rows):
-            block = slice(start, start + rows)
-            table = np.column_stack((times[block], states[block], states[block], lyap[block]))
-            yield head + render(table, b"," * (2 * n + 1) + b"\n")
-            head = ""
+        yield from _plain_blocks(head, (times, states, states, lyap))
         return
     # The rows events reach, the agents each sets, and their values in that
     # order; ``marks[k]:marks[k + 1]`` is reached[k]'s share of ``values``.

@@ -153,10 +153,6 @@ class LinearEtSystem:
     def n(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def closed_loop(self) -> np.ndarray:
-        return self.a + self.b @ self.k
-
 
 @dataclass(frozen=True)
 class LyapunovData:

@@ -77,7 +77,13 @@ def inter_event_stats(events, zeno_floor: float):
     With no gaps at all (empty log or a single event per agent) both
     statistics are +inf by convention and the suspect flag stays False.
     """
-    gaps = [gap for agent_gaps in _gaps_by_agent(events).values() for gap in agent_gaps]
+    return _gap_stats(_gaps_by_agent(events), zeno_floor)
+
+
+def _gap_stats(by_agent: dict, zeno_floor: float):
+    """``inter_event_stats`` of the gaps ``_gaps_by_agent`` grouped, summed
+    in its agent order."""
+    gaps = [gap for agent_gaps in by_agent.values() for gap in agent_gaps]
     if not gaps:
         return math.inf, math.inf, False
     min_gap = min(gaps)
@@ -102,13 +108,9 @@ def compute_run_metrics(trace: Trace, zeno_floor: float) -> RunMetrics:
     """Collect RunMetrics from a trace; decay rate is NaN when unfittable."""
     sums = trace.states.sum(axis=1)
     conservation = float(np.max(np.abs(sums - sums[0])))
-    counts = np.zeros(trace.n, dtype=int)
-    for ev in trace.events:
-        if ev.agent == ALL_AGENTS:
-            counts += 1
-        else:
-            counts[ev.agent] += 1
-    min_gap, mean_gap, zeno = inter_event_stats(trace.events, zeno_floor)
+    by_agent = _gaps_by_agent(trace.events)  # an agent's events are its gaps plus one
+    counts = tuple(len(by_agent[i]) + 1 if i in by_agent else 0 for i in range(trace.n))
+    min_gap, mean_gap, zeno = _gap_stats(by_agent, zeno_floor)
     try:
         rate = fit_decay_rate(trace)
     except InsufficientDecay:
@@ -116,8 +118,8 @@ def compute_run_metrics(trace: Trace, zeno_floor: float) -> RunMetrics:
     return RunMetrics(
         final_disagreement=disagreement(trace.states[-1]),
         conservation_error=conservation,
-        events_total=int(counts.sum()),
-        events_per_agent=tuple(int(c) for c in counts),
+        events_total=sum(counts),
+        events_per_agent=counts,
         min_gap=min_gap,
         mean_gap=mean_gap,
         decay_rate=rate,

@@ -355,6 +355,56 @@ def test_each_output_file_is_opened_once(tmp_path, monkeypatch, command):
     assert trace.stat().st_size > 4 * _CSV_BLOCK
 
 
+class FailingHandle:
+    """A text file handle that writes the first half of a text, flushes it to
+    disk and then raises OSError, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("name", ["events.csv", "metrics.txt", "metrics.csv",
+                                  "linear_et_events.csv"])
+def test_a_failed_one_shot_write_leaves_no_file(tmp_path, monkeypatch, capsys, name):
+    """A write that fails partway through a file written in one piece exits
+    2 and leaves no partial file, which ``bounds`` could read a subset of
+    rows from, nor the one an earlier run left."""
+    if name == "linear_et_events.csv":
+        argv, trace = streamed(tmp_path, "linear-et")
+    else:
+        cfg = make_config(tmp_path, "type = centralized\nsigma = 0.5",
+                          extra="\n[sweep]\nlaw.sigma = 0.2, 0.5\n")
+        argv, trace = ["run", str(cfg), "--quiet"], tmp_path / "out" / "metrics.csv"
+    assert main(argv) == 0
+    target = next(trace.parent.rglob(name))
+    assert target.stat().st_size > 0
+    seen, create = [], cli._create
+
+    def failing(path):
+        fh = create(path)
+        if path.name != name:
+            return fh
+        seen.append(path)
+        return FailingHandle(fh)
+
+    monkeypatch.setattr(cli, "_create", failing)
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert seen and not seen[0].exists()
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("error, code", [(ValueError("renderer failed"), 2),
                                          (KeyboardInterrupt(), None)])
 @pytest.mark.parametrize("command", ["run", "linear-et"])
@@ -462,14 +512,19 @@ def test_sweep_validates_every_point_before_running_any(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("values", ["1, 2.5", "1, 0"])
-def test_sweep_rejects_sample_every_below_one_or_fractional(tmp_path, capsys, values):
-    """A fractional stride was once truncated by the run but written to
-    metrics.csv as given; a stride below 1 failed only after earlier points."""
-    cfg = make_config(tmp_path, "type = state_dependent",
-                      extra=f"\n[sweep]\nsim.sample_every = {values}\n")
+@pytest.mark.parametrize("where", ["[sim]", "[sweep]"])
+def test_sample_every_key_is_rejected(tmp_path, capsys, where):
+    """sample_every is no longer a [sim] key: dt alone spaces the rows. A
+    config or a sweep naming it is a validation error that names the key,
+    and writes nothing."""
+    if where == "[sim]":
+        cfg = make_config(tmp_path, "type = state_dependent")
+        cfg.write_text(cfg.read_text().replace("[sim]\n", "[sim]\nsample_every = 2\n"))
+    else:
+        cfg = make_config(tmp_path, "type = state_dependent",
+                          extra="\n[sweep]\nsim.sample_every = 1, 2\n")
     assert main(["run", str(cfg), "--quiet"]) == 2
-    assert "sweep.sim.sample_every" in capsys.readouterr().err
+    assert "sample_every" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

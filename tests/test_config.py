@@ -160,12 +160,11 @@ def test_sim_overrides_match_a_fresh_sim_config(tmp_path):
     """A sweep point's sim settings are the parsed ones with the swept fields
     replaced: the same SimConfig that sim_config builds from scratch."""
     text = BASE.replace("horizon = 5", "horizon = 5\nzeno_floor = 1e-8")
-    text += "\n[sweep]\nsim.dt = 0.002, 0.004\nsim.sample_every = 3, 5\n"
+    text += "\n[sweep]\nsim.dt = 0.002, 0.004\n"
     cfg = load_config(write(tmp_path, text))
     assert cfg.sim == sim_config(cfg.graph, horizon=5.0, zeno_floor=1e-8)
-    _, sim = apply_overrides(cfg, {"sim.dt": 0.002, "sim.sample_every": 3.0})
-    assert sim == sim_config(cfg.graph, horizon=5.0, dt=0.002, zeno_floor=1e-8, sample_every=3)
-    assert type(sim.sample_every) is int
+    _, sim = apply_overrides(cfg, {"sim.dt": 0.002})
+    assert sim == sim_config(cfg.graph, horizon=5.0, dt=0.002, zeno_floor=1e-8)
     with pytest.raises(ConfigError, match="zeno_floor"):
         apply_overrides(cfg, {"sim.dt": 1e-9})
 

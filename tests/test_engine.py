@@ -66,7 +66,7 @@ def test_ideal_p2_is_exact(p2):
     """The exact propagator keeps x(t) = exp(-2t) (1, -1) to 1e-12, also
     over a truncated last step."""
     for horizon in (1.0, 1.0 + 1e-3 / 3.0):
-        tr = simulate_ideal(p2, [1.0, -1.0], sim_config(p2, horizon=horizon, sample_every=7))
+        tr = simulate_ideal(p2, [1.0, -1.0], SimConfig(dt=0.035, horizon=horizon))
         expected = np.exp(-2.0 * tr.times)
         assert tr.times[-1] == horizon
         assert np.max(np.abs(tr.states[:, 0] - expected)) <= 1e-12
@@ -294,6 +294,18 @@ def test_runs_are_reproducible(k3):
     assert np.array_equal(a.states, b.states)
 
 
+@pytest.mark.parametrize("horizon", [1e-12, 2e-12, 0.999e-9, 1e-3])
+def test_a_horizon_below_dt_gives_one_step(p2, horizon):
+    """However short the horizon, the grid has one step: the rows are
+    t = 0 and t = horizon in both simulators (a horizon below 1e-9 dt once
+    gave the times [0, 0])."""
+    cfg = SimConfig(dt=1e-3, horizon=horizon)
+    for tr in (simulate_ideal(p2, [1.0, -1.0], cfg),
+               simulate_triggered(p2, StateDependent(), [1.0, -1.0], cfg)):
+        assert tr.times.tolist() == [0.0, horizon]
+        assert tr.states.shape == (2, 2)
+
+
 def test_sim_config_validation(p2):
     with pytest.raises(InvalidParameter):
         SimConfig(dt=0.01, horizon=1.0, zeno_floor=0.5)
@@ -386,9 +398,9 @@ def test_trace_csv_matches_per_element_formatter(p2, k3):
     assert_same_bits(tr.xhats, xhats)
     assert_same_csv(trace_to_csv(tr), parent_trace_to_csv(tr))
     run = simulate_triggered(p2, CentralizedNorm(sigma=0.5), [1.0, -1.0],
-                             sim_config(p2, horizon=3.0, sample_every=7))
+                             SimConfig(dt=0.035, horizon=3.0))
     assert_same_csv(trace_to_csv(run), parent_trace_to_csv(run))
-    ideal = simulate_ideal(k3, [1.0, 0.0, -1.0], sim_config(k3, horizon=2.0, sample_every=3))
+    ideal = simulate_ideal(k3, [1.0, 0.0, -1.0], SimConfig(dt=0.01, horizon=2.0))
     assert_same_csv(trace_to_csv(ideal), parent_trace_to_csv(ideal))
 
     # xhat strings are cached across rows; every way the cache can go stale.
@@ -506,22 +518,21 @@ def test_streamed_trace_csv_takes_bounded_memory(tmp_path):
     assert peak < 16 * block, (peak, block, size)
 
 
-def directed_setup(n, seed, horizon=1.0, **kwargs):
+def directed_setup(n, seed, horizon=1.0, dt=1e-3):
     """(graph, law, x0, sim config) of a directed run on a balanced digraph."""
     g = random_balanced_digraph(n, np.random.default_rng(seed), extra_cycles=2)
     x0 = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, n)
-    return (g, DirectedStateDependent(sigma_i=0.5), x0,
-            sim_config(g, horizon=horizon, dt=1e-3, **kwargs))
+    return g, DirectedStateDependent(sigma_i=0.5), x0, SimConfig(dt=dt, horizon=horizon)
 
 
 def balanced_run(n, seed, **kwargs):
     return simulate_triggered(*directed_setup(n, seed, **kwargs))
 
 
-def spanning(n, dt, sample_every=1):
-    """Horizon at which an n-agent trace sampled every sample_every steps of
-    dt spans two render blocks and part of a third, whatever _CSV_BLOCK is."""
-    return (2 * block_rows(n) + 1) * sample_every * dt
+def spanning(n, dt):
+    """Horizon at which an n-agent trace sampled every dt spans two render
+    blocks and part of a third, whatever _CSV_BLOCK is."""
+    return (2 * block_rows(n) + 1) * dt
 
 
 #: sim_config's default dt on k3: 0.01 / lambda_N, lambda_N = 3.
@@ -531,9 +542,10 @@ K3_DT = 0.01 / 3
 @pytest.mark.parametrize("make", [
     pytest.param(lambda k3: balanced_run(10, 3, horizon=spanning(10, 1e-3)), id="directed-n10"),
     pytest.param(lambda k3: balanced_run(50, 4, horizon=spanning(50, 1e-3)), id="directed-n50"),
-    pytest.param(lambda k3: balanced_run(10, 5, sample_every=3, horizon=spanning(10, 1e-3, 3)),
+    # A row every 3 and every 7 ms: several events fall between two rows.
+    pytest.param(lambda k3: balanced_run(10, 5, dt=3e-3, horizon=spanning(10, 3e-3)),
                  id="directed-every3"),
-    pytest.param(lambda k3: balanced_run(50, 6, sample_every=7, horizon=spanning(50, 1e-3, 7)),
+    pytest.param(lambda k3: balanced_run(50, 6, dt=7e-3, horizon=spanning(50, 7e-3)),
                  id="directed-every7"),
     pytest.param(lambda k3: simulate_triggered(
         k3, CentralizedNorm(sigma=0.5), [0.3, -0.9, 0.5],
@@ -552,7 +564,7 @@ def test_trace_csv_matches_per_element_formatter_on_runs(make, k3):
     pytest.param(lambda p2, k3: (k3, CentralizedNorm(sigma=0.5), [0.3, -0.9, 0.5],
                                  sim_config(k3, horizon=5.0)), id="centralized-all"),
     pytest.param(lambda p2, k3: (p2, TimeDependent(c0=0.05, c1=0.5, alpha=1.0), [1.0, -1.0],
-                                 sim_config(p2, horizon=10.0, sample_every=3)),
+                                 SimConfig(dt=0.015, horizon=10.0)),
                  id="time-dependent"),
 ])
 def test_xhats_drive_the_state_between_events(setup, p2, k3):
@@ -580,7 +592,7 @@ def test_trace_rejects_decreasing_event_log():
 
 
 def test_csv_export_shapes(p2):
-    cfg = sim_config(p2, horizon=1.0, sample_every=10)
+    cfg = SimConfig(dt=0.05, horizon=1.0)
     tr = simulate_triggered(p2, CentralizedNorm(sigma=0.5), [1.0, -1.0], cfg)
     csv = trace_to_csv(tr)
     lines = csv.strip().splitlines()

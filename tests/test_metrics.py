@@ -10,6 +10,7 @@ from etconsensus import (
     EventRecord,
     InsufficientDecay,
     StateDependent,
+    Trace,
     WeightedDigraph,
     disagreement,
     fit_decay_rate,
@@ -133,7 +134,7 @@ def test_fit_decay_rate_matches_per_row_disagreement(rng):
     for _ in range(5):
         g = random_connected_undirected(int(rng.integers(2, 7)), rng, edge_prob=0.6)
         tr = simulate_triggered(g, StateDependent(), rng.uniform(-1, 1, g.n),
-                                sim_config(g, horizon=15.0, sample_every=3))
+                                sim_config(g, horizon=15.0, dt=3 * 0.01 / spectral_info(g).lambda_n))
         per_row = np.array([disagreement(row) for row in tr.states])
         rows = np.linalg.norm(tr.states - tr.states.mean(axis=1, keepdims=True), axis=1)
         assert np.allclose(rows, per_row, rtol=4e-16, atol=0.0)
@@ -177,6 +178,26 @@ def test_compute_run_metrics_counts(p2):
     assert m.min_gap <= m.mean_gap
     assert m.final_disagreement < 1e-4
     assert not m.zeno_suspect
+
+
+def test_events_per_agent_counts_network_events_once_per_agent():
+    """An ALL event counts once for every agent, and an agent that never
+    fires counts 0; the gap statistics are those of inter_event_stats."""
+    all_three = np.array([1.0, 2.0, 3.0])
+    logs = {
+        (3, 2, 4): (EventRecord(0.0, ALL_AGENTS, all_three), EventRecord(0.25, 2, 2.5),
+                    EventRecord(0.5, ALL_AGENTS, all_three), EventRecord(0.75, 2, 2.5),
+                    EventRecord(1.0, 0, 1.5)),
+        (2, 0, 1): (EventRecord(0.0, 0, 1.0), EventRecord(0.0, 2, 3.0),
+                    EventRecord(0.5, 0, 1.5)),
+        (0, 0, 0): (),
+    }
+    for counts, events in logs.items():
+        tr = Trace(times=[0.0, 1.0], states=np.ones((2, 3)), events=events, lyapunov=[0.0, 0.0])
+        m = compute_run_metrics(tr, 1e-6)
+        assert m.events_per_agent == counts
+        assert m.events_total == sum(counts)
+        assert (m.min_gap, m.mean_gap, m.zeno_suspect) == inter_event_stats(events, 1e-6)
 
 
 def test_metrics_serialization_roundtrip(p2):
