@@ -512,19 +512,25 @@ def test_sweep_validates_every_point_before_running_any(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("where", ["[sim]", "[sweep]"])
-def test_sample_every_key_is_rejected(tmp_path, capsys, where):
+def test_sample_every_key_is_rejected(tmp_path, capsys):
     """sample_every is no longer a [sim] key: dt alone spaces the rows. A
-    config or a sweep naming it is a validation error that names the key,
-    and writes nothing."""
-    if where == "[sim]":
-        cfg = make_config(tmp_path, "type = state_dependent")
-        cfg.write_text(cfg.read_text().replace("[sim]\n", "[sim]\nsample_every = 2\n"))
-    else:
-        cfg = make_config(tmp_path, "type = state_dependent",
-                          extra="\n[sweep]\nsim.sample_every = 1, 2\n")
+    config naming it is a validation error that names the key, and writes
+    nothing."""
+    cfg = make_config(tmp_path, "type = state_dependent")
+    cfg.write_text(cfg.read_text().replace("[sim]\n", "[sim]\nsample_every = 2\n"))
     assert main(["run", str(cfg), "--quiet"]) == 2
     assert "sample_every" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["1, 2.5", "1, 0"])
+def test_sweep_rejects_sample_every_below_one_or_fractional(tmp_path, capsys, values):
+    """sim has no sample_every field, so a sweep over it exits 2 naming the
+    sweep key, whatever its values, before any point is run or written."""
+    cfg = make_config(tmp_path, "type = state_dependent",
+                      extra=f"\n[sweep]\nsim.sample_every = {values}\n")
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    assert "sweep.sim.sample_every" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
