@@ -294,6 +294,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_linear_et(args) -> int:
     lcfg = load_linear_et_config(args.config)
+    out_dir = Path(args.output_dir or lcfg.output_dir)
+    # A failed rerun leaves neither file of an earlier run.
+    for name in ("linear_et_trace.csv", "linear_et_events.csv"):
+        (out_dir / name).unlink(missing_ok=True)
     sys_, lyap = design(lcfg.a, lcfg.b, lcfg.k, lcfg.q, lcfg.r, lcfg.a_s)
     t_max = default_t_max(lyap) if lcfg.t_max is None else lcfg.t_max
     t_min = min_inter_event_time(sys_, lyap, t_max)
@@ -302,9 +306,6 @@ def cmd_linear_et(args) -> int:
         sys_, lyap, lcfg.x0, horizon,
         samples_per_interval=lcfg.samples_per_interval, t_max=t_max,
     )
-    out_dir = Path(args.output_dir or lcfg.output_dir)
-    # A failed rerun leaves neither file of an earlier run.
-    (out_dir / "linear_et_events.csv").unlink(missing_ok=True)
     with _streaming(out_dir / "linear_et_trace.csv") as write:
         head = "t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S\n"
         columns = (trace.times, trace.states, trace.v_values, trace.s_values)

@@ -185,13 +185,6 @@ def _lyapunov(states: np.ndarray, xbar: float) -> np.ndarray:
 # Ideal (continuous controller) dynamics
 # ---------------------------------------------------------------------------
 
-def _propagator(lap: np.ndarray, t: float) -> np.ndarray:
-    """exp(-L t), as the power of exp(-L t / m) with ||L t / m||_1 <= 50, the
-    range in which ``matrix_exponential`` is accurate to far below 1e-10."""
-    m = max(1, math.ceil(float(np.linalg.norm(lap, 1)) * t / 50.0))
-    return np.linalg.matrix_power(matrix_exponential(-lap, t / m), m)
-
-
 def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     """Propagate xdot = -L x with the continuous controller; no events.
 
@@ -207,7 +200,7 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     # of x0: no O(1) consensus component is stepped, whose rounding would
     # floor the disagreement. An agreement state's offset is a constant of
     # a few ulps, and the state stays fixed exactly.
-    step = _propagator(lap, dt)
+    step = matrix_exponential(-lap, dt)
     base = float(x0.mean())
     offset = x0 - base
     states = np.empty((len(times), g.n))
@@ -215,7 +208,7 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     n_steps = len(times) - 1
     for k in range(1, n_steps + 1):
         if k == n_steps and k * dt > horizon:
-            step = _propagator(lap, horizon - (k - 1) * dt)
+            step = matrix_exponential(-lap, horizon - (k - 1) * dt)
         offset = step @ offset
         states[k] = base + offset
     return Trace(

@@ -56,24 +56,33 @@ _MAX_RUN = 32 * _BLOCK
 # ---------------------------------------------------------------------------
 
 def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
-    """e^{M t} as I + (e^{M t} - I) from _expm1, the package's one
-    exponential kernel.
+    """e^{M t}, the package's one exponential, for any ||M t||.
 
-    Raises OverflowError when ||M t|| is too extreme for double precision.
+    With k = max(1, ceil(||M||_1 |t| / 50)), it is I + _expm1(M t) for
+    k = 1, and the k-th power of I + _expm1(M t / k) otherwise, so each
+    Taylor kernel call sees a 1-norm of at most 50, the range in which it
+    is accurate to far below 1e-10. Raises OverflowError only when e^{M t}
+    itself is not finite in double precision.
     """
-    a = np.asarray(m, dtype=float) * float(t)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    m, t = np.asarray(m, dtype=float), float(t)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got shape {m.shape}")
+    norm = float(np.linalg.norm(m, 1)) * abs(t)
+    if not math.isfinite(norm):
         raise InvalidParameter("matrix entries must be finite")
-    return np.eye(len(a)) + _expm1(a)
+    k = max(1, math.ceil(norm / 50.0))
+    if k == 1:  # ||e^{M t}|| <= e^50
+        return np.eye(len(m)) + _expm1(m * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.matrix_power(np.eye(len(m)) + _expm1(m * (t / k)), k)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"e^(M t) is not finite in double precision (||M t||_1 = {norm:.3g})")
+    return out
 
 
 def _squarings(a: np.ndarray) -> int:
     """Halvings that bring the 1-norm of a to at most 0.5."""
     norm = float(np.linalg.norm(a, 1))
-    if norm > 600.0:
-        raise OverflowError(f"||M t|| = {norm:.3g} is too large for the exponential")
     return max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
 
 
@@ -390,19 +399,22 @@ def _illinois(f, lo: float, hi: float, h: float, base: float) -> tuple:
     return lo, hi
 
 
-def _first_root(lyap: LyapunovData, y0: np.ndarray, t_max: float) -> Optional[tuple]:
+def _first_root(lyap: LyapunovData, y0: np.ndarray, t_max: float,
+                at_update: bool) -> Optional[tuple]:
     """First t in (0, t_max] at which Y(t)^T W Y(t) stops being negative
-    definite, for Y(t) = exp(G t) y0, y0 one column [x, 0, x] or the n
-    columns [I; 0; I] (where M(0) = 0 and M'(0) = -(Q - R)): (lo, hi,
-    spread), the final bracket of the root and, for one column, 64 eps (V +
-    S) / |f'|, by which the gap's rounding can move it. None if there is none.
+    definite, for Y(t) = exp(G t) y0, y0 one joint state column or the n
+    columns [I; 0; I]: (lo, hi, spread), the final bracket of the root and,
+    for one column, 64 eps (V + S) / |f'|, by which the gap's rounding can
+    move it. None if there is none. at_update says that y0 is an update's
+    start, [x, 0, x] or [I; 0; I], where M(0) = 0 and M'(0) = -(Q - R).
 
     The cells are walked in runs of 1, 2, 4, ... blocks up to _MAX_RUN
     cells: the kept powers times the states at the blocks' starts give the
     cell-start states, one product with the forms their Taylor coefficients
     and one with _BERNSTEIN their Bernstein coefficients. A cell whose
     Bernstein coefficients are all negative definite holds no root of its
-    model (convex hull property); the first cell is judged on M(s) / s. In
+    model (convex hull property); from an update the first cell is judged
+    on M(s) / s, and from any other start on M(s) itself. In
     the first cell not cleared, _bracket finds the root and _illinois
     refines it on the gap, or on the largest eigenvalue of M, whose sign,
     unlike that of det M, shows two eigenvalues crossing zero together.
@@ -420,7 +432,7 @@ def _first_root(lyap: LyapunovData, y0: np.ndarray, t_max: float) -> Optional[tu
         ys = (powers[:width] @ np.concatenate(starts, axis=1)).reshape(width, 3 * n, -1, c)
         ys = ys.transpose(2, 0, 1, 3).reshape(-1, 3 * n, c)[:count]
         m = _coefficients(ys, forms)
-        if j0 == 0:  # M(s) / s, as M(0) = 0
+        if j0 == 0 and at_update:  # M(s) / s, as M(0) = 0
             m[:, :, :-1, 0], m[:, :, -1, 0] = m[:, :, 1:, 0], 0.0
         hull = _BERNSTEIN @ m
         for i in np.flatnonzero(~_negative_definite(hull).all(axis=0)):
@@ -440,7 +452,8 @@ def _first_root(lyap: LyapunovData, y0: np.ndarray, t_max: float) -> Optional[tu
                 return None
             spread = 0.0
             if c == 1 and hi > lo:  # f' over the final bracket (of s f(s) / s in cell 0)
-                rate = abs(hi ** (cell == 0) * f(hi) - lo ** (cell == 0) * f(lo)) / (hi - lo)
+                divided = cell == 0 and at_update
+                rate = abs(hi ** divided * f(hi) - lo ** divided * f(lo)) / (hi - lo)
                 x, xs = ys[i, :n, 0], ys[i, 2 * n:, 0]
                 scale = float(x @ lyap.p @ x + xs @ lyap.p @ xs)
                 spread = 64.0 * math.ulp(1.0) * scale * h / rate if rate else 0.0
@@ -469,7 +482,15 @@ def next_event_time(sys: LinearEtSystem, lyap: LyapunovData, x_ell,
         raise DimensionMismatch(f"x_ell must have length {n}, got {x_ell.shape}")
     if float(np.linalg.norm(x_ell)) == 0.0:
         return None
-    found = _first_root(lyap, _start(x_ell)[:, None], float(t_max))
+    return _event_delay(lyap, _start(x_ell), float(t_max), at_update=True)
+
+
+def _event_delay(lyap: LyapunovData, z: np.ndarray, t_max: float,
+                 at_update: bool) -> Optional[float]:
+    """Elapsed time in (0, t_max] at which the gap from the joint state z
+    turns nonnegative, below the root by its tolerance or its spread, or
+    None (next_event_time)."""
+    found = _first_root(lyap, z[:, None], t_max, at_update)
     if found is None:
         return None
     _, hi, spread = found
@@ -487,7 +508,7 @@ def min_inter_event_time(sys: LinearEtSystem, lyap: LyapunovData, t_max: float) 
     if there is no root in (0, t_max]; choose t_max large enough.
     """
     _check_positive(t_max, "t_max")
-    found = _first_root(lyap, _start(np.eye(lyap.n)), float(t_max))
+    found = _first_root(lyap, _start(np.eye(lyap.n)), float(t_max), at_update=True)
     if found is None:
         raise NoRootFound(f"M(t) stays negative definite on (0, {t_max}]; enlarge t_max")
     return 0.5 * (found[0] + found[1])
@@ -527,13 +548,16 @@ def simulate_sample_hold(
 ) -> SampleHoldTrace:
     """Run the event-triggered closed loop, sampling V and S between events.
 
-    Each inter-event segment propagates the joint state [x, e, x_s],
-    restarted at the segment's initial state, by one exponential of G.
-    Events are scheduled with :func:`next_event_time`; when no event occurs
-    before t_max, or V = x^T P x at the last event has underflowed (0 or
-    subnormal, so the gap is rounding), the trajectory coasts to the horizon
-    under the held input with no further scan. The coast carries the joint
-    state on in windows of at most t_max, so each exponential stays bounded.
+    Each segment propagates the joint state z = [x, e, x_s] by one
+    exponential of G, sampled samples_per_interval times. At each update z
+    restarts at [x, 0, x] and :func:`next_event_time` scans the next t_max
+    for the crossing. A scan that finds none ends a segment of t_max, the
+    scan window, at which the scan is taken again from the z the hold has
+    reached, with no update logged; t_max bounds only the scan, not the
+    exponential, which takes any length. Once V = x^T P x has underflowed
+    (0 or subnormal, so the gap is rounding), the trajectory coasts to the
+    horizon under the held input with no further scan. The first segment
+    is taken whatever the horizon.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = lyap.n
@@ -554,24 +578,30 @@ def simulate_sample_hold(
     joint: list[np.ndarray] = [_start(x)[None, :]]
     event_times: list[float] = [0.0]
 
-    dt_event = 0.0
-    while t < horizon - 1e-12:
-        if dt_event is not None:  # at an event: restart the joint state, scan
-            z = _start(x)
-            underflow = float(x @ p @ x) < np.finfo(float).tiny
-            dt_event = None if underflow else next_event_time(sys, lyap, x, t_max)
+    z, at_update, scanning = _start(x), True, True
+    while True:
+        scanning = scanning and float(x @ p @ x) >= np.finfo(float).tiny
+        dt_event = None
+        if scanning:
+            dt_event = (next_event_time(sys, lyap, x, t_max) if at_update
+                        else _event_delay(lyap, z, t_max, at_update=False))
         seg = min(t_max if dt_event is None else dt_event, horizon - t)
-        tau_step = seg / samples_per_interval
-        phi_tau = matrix_exponential(lyap.g, tau_step)
-        zs = np.empty((samples_per_interval, 3 * n))
-        for j in range(samples_per_interval):
-            z = zs[j] = phi_tau @ z
-        times.append(t + np.arange(1, samples_per_interval + 1) * tau_step)
-        joint.append(zs)
+        if seg > 0.0:  # a rescan may start on a crossing: the update is now
+            tau_step = seg / samples_per_interval
+            phi_tau = matrix_exponential(lyap.g, tau_step)
+            zs = np.empty((samples_per_interval, 3 * n))
+            for j in range(samples_per_interval):
+                z = zs[j] = phi_tau @ z
+            times.append(t + np.arange(1, samples_per_interval + 1) * tau_step)
+            joint.append(zs)
         t = t + seg
         x = z[:n].copy()
-        if dt_event is not None and seg == dt_event:
+        at_update = dt_event is not None and seg == dt_event
+        if at_update:
             event_times.append(t)
+            z = _start(x)
+        if not t < horizon - 1e-12:
+            break
 
     zs = np.concatenate(joint)
     states = np.ascontiguousarray(zs[:, :n])

@@ -146,8 +146,7 @@ def root_resolution(lyap, z0, t):
     columns) over the rate at which the gap (the eigenvalue of M nearest
     zero) crosses."""
     n, p = lyap.n, lyap.p
-    k = math.ceil(float(np.linalg.norm(lyap.g, 1)) * t / 300.0)  # within the exponential's range
-    y = (np.linalg.matrix_power(matrix_exponential(lyap.g, t / k), k) @ z0).reshape(3 * n, -1)
+    y = (matrix_exponential(lyap.g, t) @ z0).reshape(3 * n, -1)
     x, xs = y[:n], y[2 * n:]
     scale = np.linalg.norm(x.T @ p @ x + xs.T @ p @ xs, 2)
     w = np.zeros_like(lyap.g)

@@ -680,9 +680,9 @@ def test_linear_et_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("horizon", [1000, 8000])
 def test_linear_et_coasts_in_windows_past_the_last_crossing(tmp_path, capsys, horizon):
     """By t = 708 on this plant V = x^T P x has underflowed, so its gap is
-    rounding and is not scanned: the run coasts to the horizon under the held
-    input, t_max = 50 at a time (one 7000 s segment overflowed the
-    exponential), and logs no event past the last real crossing."""
+    rounding and is not scanned again: the run coasts to the horizon under
+    the held input, in windows of t_max = 50, and logs no event past the last
+    real crossing."""
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("[linear_et]\nn = 1\nm = 1\na = 0\nb = 1\nk = -1\nq = 1\nr = 0.5\n"
                    f"x0 = 1\nhorizon = {horizon}\n[run]\noutput_dir = {tmp_path / 'out'}\n")
@@ -694,6 +694,84 @@ def test_linear_et_coasts_in_windows_past_the_last_crossing(tmp_path, capsys, ho
     events = (tmp_path / "out" / "linear_et_events.csv").read_text().splitlines()
     assert len(events) == 1 + 480  # header, t = 0 and 479 crossings
     assert 707.0 < float(events[-1].split(",")[1]) < 708.0
+
+
+def linear_et_2d_with(tmp_path, **keys):
+    """configs/linear_et_2d.cfg with the given [linear_et] keys set."""
+    lines = [line for line in (CONFIG_DIR / "linear_et_2d.cfg").read_text().splitlines()
+             if line.split(" =")[0] not in keys]
+    at = lines.index("[linear_et]") + 1
+    lines[at:at] = [f"{key} = {value}" for key, value in keys.items()]
+    cfg = tmp_path / "plant.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg
+
+
+def test_linear_et_holds_a_zero_state_over_long_windows(tmp_path, capsys):
+    """A zero state is never scanned, and each window holds it for t_max =
+    1e6, where ||G t_max||_1 = 4e5: the exponential takes any length (it
+    once refused a 1-norm above 600, an uncaught OverflowError)."""
+    cfg = linear_et_2d_with(tmp_path, x0="0, 0", t_max="1e6", horizon="2e6")
+    assert main(["linear-et", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    rows = (tmp_path / "out" / "linear_et_trace.csv").read_text().splitlines()
+    assert rows[-1] == "2000000.0,0.0,0.0,0.0,0.0"
+    assert (tmp_path / "out" / "linear_et_events.csv").read_text() == "l,t,gap\n0,0.0,nan\n"
+
+
+def test_failed_linear_et_rerun_leaves_none_of_the_earlier_files(tmp_path, capsys):
+    """Once the config parses, an earlier run's files go before the design:
+    a t_max too short for t_min exits 2 with neither file left."""
+    out = tmp_path / "out"
+    assert main(["linear-et", str(CONFIG_DIR / "linear_et_2d.cfg"), "--output-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["linear_et_events.csv", "linear_et_trace.csv"]
+    capsys.readouterr()
+    cfg = linear_et_2d_with(tmp_path, t_max="0.01")
+    assert main(["linear-et", str(cfg), "--output-dir", str(out)]) == 2
+    assert "enlarge t_max" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_linear_et_horizon_below_the_loop_tolerance_takes_one_hold(tmp_path):
+    """The first hold is taken whatever the horizon: at 1e-13 the trace ends
+    at t = 1e-13 after samples_per_interval rows, not at the one row t = 0."""
+    cfg = linear_et_2d_with(tmp_path, horizon="1e-13")
+    assert main(["linear-et", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    rows = (tmp_path / "out" / "linear_et_trace.csv").read_text().splitlines()
+    assert len(rows) == 1 + 1 + 20
+    assert rows[1].startswith("0.0,") and rows[-1].startswith("1e-13,")
+
+
+def benchmark_plant_config(tmp_path, index):
+    """Plant ``index`` of the benchmark's linear_et_plants ensemble, with no
+    t_max or horizon, so the CLI defaults apply (100 / ||F||_2, 20 t_min)."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root))
+    try:
+        from perfbench.workloads import plant_ensemble
+    finally:
+        sys.path.remove(str(root))
+    plant = plant_ensemble(index + 1)[index]
+    lines = ["[linear_et]", f"n = {plant['n']}", f"m = {plant['m']}"]
+    for key in ("a", "b", "k", "q", "r", "x0"):
+        lines.append(f"{key} = " + ", ".join(map(repr, np.ravel(plant[key]).tolist())))
+    cfg = tmp_path / f"plant_{index:02d}.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg
+
+
+@pytest.mark.parametrize("index", [0, 10])
+def test_linear_et_rescans_after_a_window_with_no_crossing(tmp_path, capsys, index):
+    """With the default t_max, plant 0's first scan and plant 10's second
+    find no crossing within their window. The hold is scanned again from the
+    state it has reached, so V <= S on every row, with no slack (these once
+    coasted to the horizon with V > S on 54 of 81 and 60 of 101 rows)."""
+    cfg = benchmark_plant_config(tmp_path, index)
+    assert main(["linear-et", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    trace = np.loadtxt(tmp_path / "out" / "linear_et_trace.csv", delimiter=",", skiprows=1)
+    v, s = trace[:, -2], trace[:, -1]
+    assert np.all(v <= s), np.flatnonzero(v > s)
 
 
 @pytest.mark.parametrize("key, value", [

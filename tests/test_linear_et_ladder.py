@@ -36,7 +36,7 @@ from etconsensus import (
     trigger_gap,
 )
 from etconsensus.linear_et import (
-    _BERNSTEIN, _DEGREE, ROOT_TOL, _coefficients, _start, _state_gap,
+    _BERNSTEIN, _DEGREE, ROOT_TOL, _coefficients, _event_delay, _start, _state_gap,
 )
 
 
@@ -260,6 +260,28 @@ def test_slowed_plant_event_lies_below_its_model_root(seed, c, monkeypatch):
     model, _, _, h, base = solves[-1]
     assert model((t - base) / h) < 0.0
     z0 = _start(x_ell)
+    res = root_resolution(slow_lyap, z0, t)
+    at, above = decimal_gaps(slow_lyap, z0, [t, t + root_tol(t) + 2 * res])
+    assert at < 0 <= above, (t, res, float(at), float(above))
+
+
+@pytest.mark.parametrize("seed, c", [(0, 1e-5), (5, 1e-5), (0, 1e-6), (10, 1e-6)])
+def test_slowed_plant_scan_from_a_held_state_in_the_roots_cell(seed, c):
+    """A scan from the joint state half a cell before a slowed plant's
+    event, as at the end of a window with no crossing: the root is in its
+    first cell, where its spread 64 eps (V + S) / |f'| is rated on the plain
+    gap, so the event lies below the 50-digit root by no more than the
+    spread and the root's resolution. Rated as if on M(s) / s, the spread
+    put each of these four events further below the root than that."""
+    rng = np.random.default_rng(seed)
+    sys_, lyap = random_linear_system(rng, 3)
+    x_ell = rng.normal(size=3)
+    slow_sys, slow_lyap = design(sys_.a * c, sys_.b * c, sys_.k, sys_.q, sys_.r)
+    t_max = 400.0 / float(np.linalg.norm(lyap.f, 2)) / c
+    start = next_event_time(slow_sys, slow_lyap, x_ell, t_max) - 0.5 * slow_lyap._cells[0]
+    z0 = _start(x_ell)
+    t = start + _event_delay(slow_lyap, matrix_exponential(slow_lyap.g, start) @ z0, t_max,
+                             at_update=False)
     res = root_resolution(slow_lyap, z0, t)
     at, above = decimal_gaps(slow_lyap, z0, [t, t + root_tol(t) + 2 * res])
     assert at < 0 <= above, (t, res, float(at), float(above))

@@ -29,7 +29,7 @@ from etconsensus import (
     simulate_sample_hold,
 )
 from etconsensus.linear_et import (
-    _BERNSTEIN, _BLOCK, _DEGREE, _halves, _negative_definite, _start,
+    _BERNSTEIN, _BLOCK, _DEGREE, _event_delay, _halves, _negative_definite, _start,
 )
 
 
@@ -228,6 +228,22 @@ def test_halves_and_bernstein_form_evaluate_the_same_polynomial(a, s):
     assert np.array_equal(stacked[0][0, 0], left) and np.array_equal(stacked[1][0, 1], -right)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_scan_from_a_held_state_finds_the_root_from_its_update(seed):
+    """From the joint state a hold has reached at s, where the gap is
+    negative rather than 0, the scan judges its first cell on the gap
+    itself, not on M(s) / s: it finds the crossing of the scan from the
+    update, s earlier, and its event lies below the 50-digit root."""
+    sys_, lyap, x_ell, t_event = firing_plant(3, seed)
+    for part in (0.1, 0.6, 0.97):
+        s = part * t_event
+        z = matrix_exponential(lyap.g, s) @ _start(x_ell)
+        later = _event_delay(lyap, z, 2.0 * t_event, at_update=False)
+        assert abs(s + later - t_event) <= 1e-9 * t_event, (part, s + later - t_event)
+        assert_event_below_root(lyap, x_ell, s + later)
+        assert _event_delay(lyap, z, 0.9 * (t_event - s), at_update=False) is None
+
+
 # ---------------------------------------------------------------------------
 # The sample-and-hold loop against the one-sample-per-iteration loop it
 # replaced: the chained states are the same products, and the stacked forms
@@ -241,12 +257,15 @@ def sample_hold_oracle(sys_, lyap, x0, horizon, samples_per_interval, t_max):
     t = 0.0
     times, states, v_vals, s_vals = [], [], [], []
     event_times = [0.0]
-    first_segment, dt_event = True, 0.0
-    while t < horizon - 1e-12:
-        if dt_event is not None:
-            z = _start(x)
-            underflow = float(x @ p @ x) < np.finfo(float).tiny
-            dt_event = None if underflow else next_event_time(sys_, lyap, x, t_max)
+    first_segment, underflow, z, dt_event = True, False, _start(x), 0.0
+    while first_segment or t < horizon - 1e-12:
+        underflow = underflow or float(x @ p @ x) < np.finfo(float).tiny
+        if underflow:
+            dt_event = None
+        elif dt_event is not None:  # at an update
+            dt_event = next_event_time(sys_, lyap, x, t_max)
+        else:  # at the end of a window with no crossing
+            dt_event = _event_delay(lyap, z, t_max, at_update=False)
         seg = min(t_max if dt_event is None else dt_event, horizon - t)
         tau_step = seg / samples_per_interval
         phi_tau = matrix_exponential(lyap.g, tau_step)
@@ -267,6 +286,9 @@ def sample_hold_oracle(sys_, lyap, x0, horizon, samples_per_interval, t_max):
         x = z[:n].copy()
         if dt_event is not None and seg == dt_event:
             event_times.append(t)
+            z = _start(x)
+        else:
+            dt_event = None
     return (np.array(times), np.array(states), np.array(v_vals), np.array(s_vals),
             tuple(event_times))
 
@@ -275,20 +297,21 @@ def sample_hold_oracle(sys_, lyap, x0, horizon, samples_per_interval, t_max):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sample_hold_matches_per_sample_loop(n, samples):
     """Bit for bit, over a horizon of 8.5 first gaps, on a plant that fires
-    within half the default window (50 / ||F||). A
-    window of 1.5 first gaps fires events and, where the gaps grow past it,
-    coasts; a window of half the first gap finds no crossing and coasts the
-    whole horizon in windows."""
+    within half the default window (50 / ||F||). A window of 1.5 first gaps
+    fires events and, where the gaps grow past it, scans again at the
+    window's end; a window of half the first gap finds no crossing, and the
+    scans from the held state at the ends of its windows find the first
+    event (to rounding)."""
     sys_, lyap, x0, t_event = firing_plant(n, 20 + n, window=50.0)
-    for t_max, fires in ((1.5 * t_event, True), (0.5 * t_event, False)):
+    for t_max in (1.5 * t_event, 0.5 * t_event):
         got = simulate_sample_hold(sys_, lyap, x0, 8.5 * t_event, samples, t_max)
         times, states, v_values, s_values, event_times = sample_hold_oracle(
             sys_, lyap, x0, 8.5 * t_event, samples, t_max)
         assert got.event_times == event_times
-        if fires:
-            assert len(event_times) > 1
-        else:
-            assert event_times == (0.0,) and len(got.times) - 1 > samples  # coast windows
+        assert len(event_times) > 1
+        if t_max < t_event:
+            assert event_times[1] == pytest.approx(t_event, rel=1e-9)
+            assert len(got.times) - 1 > samples * len(event_times)  # windows with no update
         for name, want in (("times", times), ("states", states), ("v_values", v_values),
                            ("s_values", s_values)):
             value = getattr(got, name)
@@ -297,10 +320,15 @@ def test_sample_hold_matches_per_sample_loop(n, samples):
 
 
 def test_sample_hold_below_the_horizon_slack_keeps_the_initial_sample():
-    """A horizon within the loop's 1e-12 slack runs no segment; the trace
-    still holds the initial sample, at which V = S."""
+    """A horizon within the loop's 1e-12 slack still runs the first segment
+    (it once ran none, so the trace was the initial sample alone): the
+    trace holds the initial sample, at which V = S, and the samples of one
+    hold up to the horizon, with no event."""
     sys_, lyap, x0 = plant(2, 0)
-    got = simulate_sample_hold(sys_, lyap, x0, 1e-13)
-    assert got.times.tolist() == [0.0] and got.event_times == (0.0,)
-    assert got.states.tolist() == [x0.tolist()]
-    assert got.v_values.tolist() == got.s_values.tolist() == [float(x0 @ lyap.p @ x0)]
+    got = simulate_sample_hold(sys_, lyap, x0, 1e-13, samples_per_interval=4)
+    assert got.times.tolist() == [0.0, *(np.arange(1, 5) * 2.5e-14).tolist()]
+    assert got.times[-1] == 1e-13
+    assert got.event_times == (0.0,)
+    assert got.states[0].tolist() == x0.tolist()
+    assert got.v_values[0] == got.s_values[0] == float(x0 @ lyap.p @ x0)
+    assert np.allclose(got.states, x0, rtol=0.0, atol=1e-12)
