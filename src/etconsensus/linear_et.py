@@ -58,11 +58,13 @@ _MAX_RUN = 32 * _BLOCK
 def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     """e^{M t}, the package's one exponential, for any ||M t||.
 
-    With k = max(1, ceil(||M||_1 |t| / 50)), it is I + _expm1(M t) for
-    k = 1, and the k-th power of I + _expm1(M t / k) otherwise, so each
-    Taylor kernel call sees a 1-norm of at most 50, the range in which it
-    is accurate to far below 1e-10. Raises OverflowError only when e^{M t}
-    itself is not finite in double precision.
+    It is the k-th power of I + _expm1(M t / k), k = _pieces(||M t||_1), so
+    each Taylor kernel call sees a 1-norm of at most 50, the range in which
+    it is accurate to far below 1e-10. A power's rounding grows fast with k
+    where e^{M t} grows polynomially (M with a defective eigenvalue at 0, as
+    a held input driving an integrator): on configs/linear_et_2d.cfg's G it
+    is 5.6e-10 relative at ||G t||_1 <= 600 and 2.6e-5 at <= 4000. Raises
+    OverflowError only when e^{M t} itself is not finite in double precision.
     """
     m, t = np.asarray(m, dtype=float), float(t)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -70,14 +72,18 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     norm = float(np.linalg.norm(m, 1)) * abs(t)
     if not math.isfinite(norm):
         raise InvalidParameter("matrix entries must be finite")
-    k = max(1, math.ceil(norm / 50.0))
-    if k == 1:  # ||e^{M t}|| <= e^50
-        return np.eye(len(m)) + _expm1(m * t)
+    k = _pieces(norm)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.linalg.matrix_power(np.eye(len(m)) + _expm1(m * (t / k)), k)
     if not np.isfinite(out).all():
         raise OverflowError(f"e^(M t) is not finite in double precision (||M t||_1 = {norm:.3g})")
     return out
+
+
+def _pieces(norm: float) -> int:
+    """max(1, ceil(norm / 50)): the equal pieces of a step of 1-norm
+    ||M t||_1 = norm on each of which the Taylor kernel sees at most 50."""
+    return max(1, math.ceil(norm / 50.0))
 
 
 def _squarings(a: np.ndarray) -> int:
@@ -401,9 +407,10 @@ def _illinois(f, lo: float, hi: float, h: float, base: float) -> tuple:
 
 def _first_root(lyap: LyapunovData, y0: np.ndarray, t_max: float,
                 at_update: bool) -> Optional[tuple]:
-    """First t in (0, t_max] at which Y(t)^T W Y(t) stops being negative
-    definite, for Y(t) = exp(G t) y0, y0 one joint state column or the n
-    columns [I; 0; I]: (lo, hi, spread), the final bracket of the root and,
+    """First t in [0, t_max] at which Y(t)^T W Y(t) stops being negative
+    definite (t = 0 only for a y0 that is not an update's start), for
+    Y(t) = exp(G t) y0, y0 one joint state column or the n columns
+    [I; 0; I]: (lo, hi, spread), the final bracket of the root and,
     for one column, 64 eps (V + S) / |f'|, by which the gap's rounding can
     move it. None if there is none. at_update says that y0 is an update's
     start, [x, 0, x] or [I; 0; I], where M(0) = 0 and M'(0) = -(Q - R).
@@ -487,9 +494,10 @@ def next_event_time(sys: LinearEtSystem, lyap: LyapunovData, x_ell,
 
 def _event_delay(lyap: LyapunovData, z: np.ndarray, t_max: float,
                  at_update: bool) -> Optional[float]:
-    """Elapsed time in (0, t_max] at which the gap from the joint state z
+    """Elapsed time in [0, t_max] at which the gap from the joint state z
     turns nonnegative, below the root by its tolerance or its spread, or
-    None (next_event_time)."""
+    None (next_event_time). It is 0 only for at_update=False when the gap
+    at z is already nonnegative."""
     found = _first_root(lyap, z[:, None], t_max, at_update)
     if found is None:
         return None
@@ -553,11 +561,13 @@ def simulate_sample_hold(
     restarts at [x, 0, x] and :func:`next_event_time` scans the next t_max
     for the crossing. A scan that finds none ends a segment of t_max, the
     scan window, at which the scan is taken again from the z the hold has
-    reached, with no update logged; t_max bounds only the scan, not the
-    exponential, which takes any length. Once V = x^T P x has underflowed
-    (0 or subnormal, so the gap is rounding), the trajectory coasts to the
-    horizon under the held input with no further scan. The first segment
-    is taken whatever the horizon.
+    reached, with no update logged; t_max bounds only the scan. A sample
+    step past the exponential's range is the product of its in-range pieces,
+    taken one at a time. Once V = x^T P x has underflowed (0 or subnormal,
+    so the gap is rounding), the trajectory coasts to the horizon under the
+    held input with no further scan. The first segment is taken whatever
+    the horizon. Raises InvalidParameter if the held state leaves double
+    precision.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = lyap.n
@@ -571,6 +581,7 @@ def simulate_sample_hold(
     _check_positive(t_max, "t_max")
 
     p = lyap.p
+    g_norm = float(np.linalg.norm(lyap.g, 1))
     t = 0.0
     # Per segment, the sample times and joint states; the first sample is the
     # initial joint state [x0, 0, x0], at which V = S.
@@ -588,10 +599,21 @@ def simulate_sample_hold(
         seg = min(t_max if dt_event is None else dt_event, horizon - t)
         if seg > 0.0:  # a rescan may start on a crossing: the update is now
             tau_step = seg / samples_per_interval
-            phi_tau = matrix_exponential(lyap.g, tau_step)
+            # Past the kernel's range the sample step is the product of its
+            # pieces taken one at a time, whose rounding grows only
+            # polynomially where e^{G t} does, not a power (matrix_exponential).
+            pieces = _pieces(g_norm * tau_step)
+            phi_tau = piece = matrix_exponential(lyap.g, tau_step / pieces)
             zs = np.empty((samples_per_interval, 3 * n))
-            for j in range(samples_per_interval):
-                z = zs[j] = phi_tau @ z
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(pieces - 1):
+                    phi_tau = piece @ phi_tau
+                for j in range(samples_per_interval):
+                    z = zs[j] = phi_tau @ z
+            if not np.isfinite(zs).all():
+                raise InvalidParameter(
+                    f"the held state leaves double precision before t = {t + seg:.6g}; "
+                    "shorten the horizon")
             times.append(t + np.arange(1, samples_per_interval + 1) * tau_step)
             joint.append(zs)
         t = t + seg

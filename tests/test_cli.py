@@ -709,14 +709,38 @@ def linear_et_2d_with(tmp_path, **keys):
 
 def test_linear_et_holds_a_zero_state_over_long_windows(tmp_path, capsys):
     """A zero state is never scanned, and each window holds it for t_max =
-    1e6, where ||G t_max||_1 = 4e5: the exponential takes any length (it
-    once refused a 1-norm above 600, an uncaught OverflowError)."""
+    1e6, in sample steps of ||G tau||_1 = 4e5: the hold takes any length."""
     cfg = linear_et_2d_with(tmp_path, x0="0, 0", t_max="1e6", horizon="2e6")
     assert main(["linear-et", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
     assert "FAIL" not in capsys.readouterr().out
     rows = (tmp_path / "out" / "linear_et_trace.csv").read_text().splitlines()
     assert rows[-1] == "2000000.0,0.0,0.0,0.0,0.0"
     assert (tmp_path / "out" / "linear_et_events.csv").read_text() == "l,t,gap\n0,0.0,nan\n"
+
+
+def test_linear_et_holds_an_underflowed_state_over_long_windows(tmp_path, capsys):
+    """V underflows near t = 343 and the run coasts in windows of t_max =
+    1e6. Each sample step is taken as a product of in-range pieces, so every
+    row is finite and both theorem checks pass."""
+    cfg = linear_et_2d_with(tmp_path, x0="1, 0", t_max="1e6", horizon="2e6")
+    assert main(["linear-et", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.count("PASS") == 2
+    trace = np.loadtxt(tmp_path / "out" / "linear_et_trace.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(trace).all()
+    assert trace[-1, 0] == 2e6
+
+
+def test_linear_et_exits_2_when_the_held_state_leaves_double_precision(tmp_path, capsys):
+    """A unstable, A + BK Hurwitz: once V underflows the held input no
+    longer steadies x, which grows past double precision in the coast. The
+    run exits 2 naming the hold and writes no file."""
+    cfg = linear_et_2d_with(tmp_path, a="1, 1, 0, 1", k="-6, -4", t_max="2e4",
+                            horizon="4e4")
+    out = tmp_path / "out"
+    assert main(["linear-et", str(cfg), "--output-dir", str(out)]) == 2
+    assert "the held state leaves double precision" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_failed_linear_et_rerun_leaves_none_of_the_earlier_files(tmp_path, capsys):
@@ -742,36 +766,44 @@ def test_linear_et_horizon_below_the_loop_tolerance_takes_one_hold(tmp_path):
     assert rows[1].startswith("0.0,") and rows[-1].startswith("1e-13,")
 
 
-def benchmark_plant_config(tmp_path, index):
-    """Plant ``index`` of the benchmark's linear_et_plants ensemble, with no
-    t_max or horizon, so the CLI defaults apply (100 / ||F||_2, 20 t_min)."""
-    root = Path(__file__).resolve().parent.parent
-    sys.path.insert(0, str(root))
-    try:
-        from perfbench.workloads import plant_ensemble
-    finally:
-        sys.path.remove(str(root))
-    plant = plant_ensemble(index + 1)[index]
-    lines = ["[linear_et]", f"n = {plant['n']}", f"m = {plant['m']}"]
-    for key in ("a", "b", "k", "q", "r", "x0"):
-        lines.append(f"{key} = " + ", ".join(map(repr, np.ravel(plant[key]).tolist())))
-    cfg = tmp_path / f"plant_{index:02d}.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
-    return cfg
+#: Plants 0 and 10 of perfbench.workloads.plant_ensemble(11), pinned: with
+#: the default t_max, each has a window with no crossing before its horizon.
+WINDOWLESS_PLANTS = {
+    0: {"a": [-1.6692927733593146, -0.36053015624250795, 0.7073892492916342, -0.825602024655596],
+        "b": [0.08511130435413772, -0.5228551850850768, -0.3923519792630445, 0.13108922453509408],
+        "k": [0.015069445815342633, 0.06184561021645226, 0.18167410254084243, 0.5033325990671511],
+        "q": [4.803158265876856, 1.562552342893069, 1.562552342893069, 3.3716464009468536],
+        "r": [1.1715946086444256, -0.11454067435570378, -0.11454067435570378, 0.1565271481792229],
+        "x0": [0.6632698194437825, 0.37915526802407284]},
+    10: {"a": [-2.3066981944884795, 0.33483288623546825, -1.5800051271705282, -1.3346754162500314],
+         "b": [-0.5625202781508137, -0.7535066992019627, 0.5322821490194867, -1.4139309691569408],
+         "k": [-0.4334473036155111, -0.17854847811210997, -0.13602251563506093, 0.005103675838400261],
+         "q": [5.360209412631834, -1.028404749084588, -1.028404749084588, 2.3855754021194584],
+         "r": [0.9364375338568819, -0.280795427810084, -0.280795427810084, 0.21006426901916084],
+         "x0": [0.10191031962504415, 0.5957629157417492]},
+}
 
 
 @pytest.mark.parametrize("index", [0, 10])
 def test_linear_et_rescans_after_a_window_with_no_crossing(tmp_path, capsys, index):
-    """With the default t_max, plant 0's first scan and plant 10's second
-    find no crossing within their window. The hold is scanned again from the
-    state it has reached, so V <= S on every row, with no slack (these once
-    coasted to the horizon with V > S on 54 of 81 and 60 of 101 rows)."""
-    cfg = benchmark_plant_config(tmp_path, index)
+    """With the default t_max (no t_max or horizon set), plant 0's first
+    scan and plant 10's second find no crossing within their window. The
+    hold is scanned again from the state it has reached: an event lands
+    more than t_max after the one before it, and V <= S on every row, with
+    no slack."""
+    plant = WINDOWLESS_PLANTS[index]
+    lines = ["[linear_et]", "n = 2", "m = 2"]
+    lines += [f"{key} = " + ", ".join(map(repr, values)) for key, values in plant.items()]
+    cfg = tmp_path / f"plant_{index:02d}.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
     assert main(["linear-et", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
     assert "FAIL" not in capsys.readouterr().out
     trace = np.loadtxt(tmp_path / "out" / "linear_et_trace.csv", delimiter=",", skiprows=1)
     v, s = trace[:, -2], trace[:, -1]
     assert np.all(v <= s), np.flatnonzero(v > s)
+    _, lyap = design(*(np.reshape(plant[key], (2, 2)) for key in "abkqr"))
+    events = np.loadtxt(tmp_path / "out" / "linear_et_events.csv", delimiter=",", skiprows=1)
+    assert np.diff(events[:, 1]).max() > default_t_max(lyap)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -320,9 +320,8 @@ def test_sample_hold_matches_per_sample_loop(n, samples):
 
 
 def test_sample_hold_below_the_horizon_slack_keeps_the_initial_sample():
-    """A horizon within the loop's 1e-12 slack still runs the first segment
-    (it once ran none, so the trace was the initial sample alone): the
-    trace holds the initial sample, at which V = S, and the samples of one
+    """A horizon within the loop's 1e-12 slack still runs the first segment:
+    the trace holds the initial sample, at which V = S, and the samples of one
     hold up to the horizon, with no event."""
     sys_, lyap, x0 = plant(2, 0)
     got = simulate_sample_hold(sys_, lyap, x0, 1e-13, samples_per_interval=4)
