@@ -169,11 +169,20 @@ def _check_x0(g: WeightedDigraph, x0) -> np.ndarray:
     return x0.copy()
 
 
-def _sample_grid(dt: float, horizon: float) -> np.ndarray:
-    """The sample times: t = 0 and min(k dt, horizon) for every step k of the
-    dt grid, of which there is at least one."""
-    n_steps = max(1, math.ceil(horizon / dt - 1e-9))
-    return np.concatenate(([0.0], np.minimum(np.arange(1, n_steps + 1) * dt, horizon)))
+def _sample_rows(dt: float, horizon: float, n: int) -> tuple:
+    """The sample times, t = 0 and min(k dt, horizon) for every step k of the
+    dt grid, of which there is at least one, and an empty (rows, n) array
+    for the states at them. Raises InvalidParameter, naming horizon, dt and
+    the row count, when they cannot be allocated."""
+    steps = horizon / dt - 1e-9
+    try:
+        n_steps = max(1, math.ceil(steps))
+        times = np.concatenate(([0.0], np.minimum(np.arange(1, n_steps + 1) * dt, horizon)))
+        return times, np.empty((len(times), n))
+    except (MemoryError, OverflowError, ValueError):
+        raise InvalidParameter(
+            f"horizon = {horizon!r} and dt = {dt!r} ask for {max(1.0, steps) + 1.0:.6g} "
+            "sample rows, more than can be allocated; enlarge dt or shorten the horizon") from None
 
 
 def _lyapunov(states: np.ndarray, xbar: float) -> np.ndarray:
@@ -195,7 +204,7 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     x0 = _check_x0(g, x0)
     lap = laplacian(g)
     dt, horizon = cfg.dt, cfg.horizon
-    times = _sample_grid(dt, horizon)
+    times, states = _sample_rows(dt, horizon, g.n)
     # exp(-L t) fixes constant vectors, so propagate the offset from the mean
     # of x0: no O(1) consensus component is stepped, whose rounding would
     # floor the disagreement. An agreement state's offset is a constant of
@@ -203,7 +212,6 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     step = matrix_exponential(-lap, dt)
     base = float(x0.mean())
     offset = x0 - base
-    states = np.empty((len(times), g.n))
     states[0] = x0
     n_steps = len(times) - 1
     for k in range(1, n_steps + 1):
@@ -511,7 +519,7 @@ def simulate_triggered(
     n = g.n
 
     dt, periodic = cfg.dt, isinstance(law, PeriodicStateDependent)
-    times = _sample_grid(dt, cfg.horizon)
+    times, states = _sample_rows(dt, cfg.horizon, n)
     t_end = times[-1]
 
     members, affected, moved, reads, refresh, holds, delay = _law_rule(g, law)
@@ -534,7 +542,6 @@ def simulate_triggered(
     events = ([EventRecord(t=0.0, agent=ALL_AGENTS, value=x0.copy())] if network
               else [EventRecord(t=0.0, agent=i, value=x) for i, x in enumerate(start)])
 
-    states = np.empty((len(times), n))
     row, row_times = 0, times.tolist()
     window, window_count = 0, {}
 

@@ -58,13 +58,15 @@ _MAX_RUN = 32 * _BLOCK
 def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     """e^{M t}, the package's one exponential, for any ||M t||.
 
-    It is the k-th power of I + _expm1(M t / k), k = _pieces(||M t||_1), so
-    each Taylor kernel call sees a 1-norm of at most 50, the range in which
-    it is accurate to far below 1e-10. A power's rounding grows fast with k
-    where e^{M t} grows polynomially (M with a defective eigenvalue at 0, as
-    a held input driving an integrator): on configs/linear_et_2d.cfg's G it
-    is 5.6e-10 relative at ||G t||_1 <= 600 and 2.6e-5 at <= 4000. Raises
-    OverflowError only when e^{M t} itself is not finite in double precision.
+    It is the product of k equal pieces I + _expm1(M t / k), k = max(1,
+    ceil(||M t||_1 / 50)), so each Taylor kernel call sees a 1-norm of at
+    most 50, the range in which it is accurate to far below 1e-10. The
+    pieces are multiplied one at a time, whose rounding grows only
+    polynomially where e^{M t} does (M with a defective eigenvalue at 0, as
+    a held input driving an integrator), at the cost of k - 1 products: on
+    configs/linear_et_2d.cfg's G it is 6.3e-10 relative at ||G t||_1 <= 4000
+    and 3.5e-8 at <= 2e4. Raises OverflowError only when e^{M t} itself is
+    not finite in double precision.
     """
     m, t = np.asarray(m, dtype=float), float(t)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -72,18 +74,14 @@ def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
     norm = float(np.linalg.norm(m, 1)) * abs(t)
     if not math.isfinite(norm):
         raise InvalidParameter("matrix entries must be finite")
-    k = _pieces(norm)
+    k = max(1, math.ceil(norm / 50.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.linalg.matrix_power(np.eye(len(m)) + _expm1(m * (t / k)), k)
+        out = piece = np.eye(len(m)) + _expm1(m * (t / k))
+        for _ in range(k - 1):
+            out = piece @ out
     if not np.isfinite(out).all():
         raise OverflowError(f"e^(M t) is not finite in double precision (||M t||_1 = {norm:.3g})")
     return out
-
-
-def _pieces(norm: float) -> int:
-    """max(1, ceil(norm / 50)): the equal pieces of a step of 1-norm
-    ||M t||_1 = norm on each of which the Taylor kernel sees at most 50."""
-    return max(1, math.ceil(norm / 50.0))
 
 
 def _squarings(a: np.ndarray) -> int:
@@ -557,17 +555,16 @@ def simulate_sample_hold(
     """Run the event-triggered closed loop, sampling V and S between events.
 
     Each segment propagates the joint state z = [x, e, x_s] by one
-    exponential of G, sampled samples_per_interval times. At each update z
-    restarts at [x, 0, x] and :func:`next_event_time` scans the next t_max
-    for the crossing. A scan that finds none ends a segment of t_max, the
-    scan window, at which the scan is taken again from the z the hold has
-    reached, with no update logged; t_max bounds only the scan. A sample
-    step past the exponential's range is the product of its in-range pieces,
-    taken one at a time. Once V = x^T P x has underflowed (0 or subnormal,
-    so the gap is rounding), the trajectory coasts to the horizon under the
-    held input with no further scan. The first segment is taken whatever
-    the horizon. Raises InvalidParameter if the held state leaves double
-    precision.
+    exponential of G over its sample step, whatever the step's length
+    (matrix_exponential), sampled samples_per_interval times. At each
+    update z restarts at [x, 0, x] and :func:`next_event_time` scans the
+    next t_max for the crossing. A scan that finds none ends a segment of
+    t_max, the scan window, at which the scan is taken again from the z the
+    hold has reached, with no update logged; t_max bounds only the scan.
+    Once V = x^T P x has underflowed (0 or subnormal, so the gap is
+    rounding), the trajectory coasts to the horizon under the held input
+    with no further scan. The first segment is taken whatever the horizon.
+    Raises InvalidParameter if the held state leaves double precision.
     """
     x = np.asarray(x0, dtype=float).copy()
     n = lyap.n
@@ -581,7 +578,6 @@ def simulate_sample_hold(
     _check_positive(t_max, "t_max")
 
     p = lyap.p
-    g_norm = float(np.linalg.norm(lyap.g, 1))
     t = 0.0
     # Per segment, the sample times and joint states; the first sample is the
     # initial joint state [x0, 0, x0], at which V = S.
@@ -599,21 +595,18 @@ def simulate_sample_hold(
         seg = min(t_max if dt_event is None else dt_event, horizon - t)
         if seg > 0.0:  # a rescan may start on a crossing: the update is now
             tau_step = seg / samples_per_interval
-            # Past the kernel's range the sample step is the product of its
-            # pieces taken one at a time, whose rounding grows only
-            # polynomially where e^{G t} does, not a power (matrix_exponential).
-            pieces = _pieces(g_norm * tau_step)
-            phi_tau = piece = matrix_exponential(lyap.g, tau_step / pieces)
             zs = np.empty((samples_per_interval, 3 * n))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(pieces - 1):
-                    phi_tau = piece @ phi_tau
-                for j in range(samples_per_interval):
-                    z = zs[j] = phi_tau @ z
-            if not np.isfinite(zs).all():
+            try:
+                phi_tau = matrix_exponential(lyap.g, tau_step)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for j in range(samples_per_interval):
+                        z = zs[j] = phi_tau @ z
+                if not np.isfinite(zs).all():
+                    raise OverflowError
+            except OverflowError:
                 raise InvalidParameter(
                     f"the held state leaves double precision before t = {t + seg:.6g}; "
-                    "shorten the horizon")
+                    "shorten the horizon") from None
             times.append(t + np.arange(1, samples_per_interval + 1) * tau_step)
             joint.append(zs)
         t = t + seg

@@ -131,6 +131,32 @@ def test_run_rejects_non_finite_config_numbers(tmp_path, capsys, key, law, horiz
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("law, horizon, rows", [
+    ("type = state_dependent", 2e10, "1e+17"),
+    ("type = ideal", 2e10, "1e+17"),
+    ("type = state_dependent", 2e12, "1e+19"),
+    ("type = state_dependent", 1e303, "inf"),
+])
+def test_run_exits_2_on_a_sample_grid_too_large_to_allocate(tmp_path, capsys, law, horizon,
+                                                             rows):
+    """At dt = 2e-7, 1e17 rows need 800 PB for the times alone, more than
+    any 64-bit address space in use holds, so the allocation fails at once;
+    1e19 rows are more than numpy's size limit, and horizon = 1e303 asks for
+    an infinite count. The run names horizon, dt and the row count, exits 2
+    and leaves none of an earlier run's files."""
+    finished = make_config(tmp_path, law, name="ok.cfg")
+    assert main(["run", str(finished), "--quiet"]) == 0
+    cfg = make_config(tmp_path, law, horizon=horizon)
+    cfg.write_text(cfg.read_text().replace("[sim]\n", "[sim]\ndt = 2e-7\n"))
+    capsys.readouterr()
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"horizon = {float(horizon)!r}" in err and "dt = 2e-07" in err
+    assert f"ask for {rows} sample rows" in err
+    assert output_files(tmp_path / "out") == {}
+
+
 def test_sweep_zeno_abort_keeps_finished_points(tmp_path, capsys):
     cfg = zeno_config(tmp_path, sweep=f"0.5, {ZENO_A}, 0.25")
     assert main(["run", str(cfg), "--quiet"]) == 3

@@ -36,7 +36,7 @@ from etconsensus import (
     trace_to_csv,
 )
 from etconsensus import cli
-from etconsensus.config import load_config
+from etconsensus.config import apply_overrides, load_config, sweep_points
 from etconsensus.engine import _CSV_BLOCK
 from etconsensus.metrics import compute_run_metrics, inter_event_stats
 from helpers import assert_same_csv
@@ -228,17 +228,29 @@ def test_periodic_events_fall_on_multiples_of_h(cycle3):
     assert min(gaps_of(tr.events)) >= h
 
 
-def test_periodic_events_do_not_depend_on_dt():
-    """configs/periodic_cycle5.cfg logs the same events.csv text at its
-    default dt and at three others: dt places trace rows, not decisions."""
-    cfg = load_config(CONFIG_DIR / "periodic_cycle5.cfg")
-    texts = {
-        dt: events_to_csv(simulate_triggered(
-            cfg.graph, cfg.law, cfg.x0, SimConfig(dt=dt, horizon=cfg.sim.horizon)).events)
-        for dt in (cfg.sim.dt, 1e-3, 3.7e-4, 1e-2)
-    }
-    for dt, text in texts.items():
-        assert_same_csv(text, texts[cfg.sim.dt], f"events.csv at dt={dt}")
+def test_no_event_depends_on_dt():
+    """Every triggered config in configs/, at each point of its sweep (28
+    runs over the six laws), logs the same events.csv text at its dt and at
+    0.5, 2 and 0.37 times it: dt places trace rows, not decisions."""
+    runs = 0
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        if "[linear_et]" in path.read_text():
+            continue
+        cfg = load_config(path)
+        for overrides in sweep_points(cfg):
+            law, sim = apply_overrides(cfg, overrides) if overrides else (cfg.law, cfg.sim)
+            if law is None:
+                continue
+            runs += 1
+            texts = {
+                scale: events_to_csv(simulate_triggered(cfg.graph, law, cfg.x0, SimConfig(
+                    dt=scale * sim.dt, horizon=sim.horizon, zeno_floor=sim.zeno_floor)).events)
+                for scale in (1.0, 0.5, 2.0, 0.37)
+            }
+            for scale, text in texts.items():
+                assert_same_csv(text, texts[1.0], f"{path.name} {overrides}: events.csv at "
+                                f"dt = {scale} * {sim.dt}")
+    assert runs == 28
 
 
 def test_periodic_condition_holds_at_sample_instants(cycle3):

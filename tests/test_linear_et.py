@@ -105,11 +105,11 @@ def test_expm_matches_scipy(rng):
 
 
 def test_expm_matches_scipy_on_long_consensus_flows(rng):
-    """exp(-L t) of balanced digraphs past the range above, as powers of
-    exp(-L t / k): every entry is positive, and each is accurate relative
-    to itself. The worst relative errors measured over 300 draws on each of
-    four seeds were 9.4e-14 for 50 < ||L t||_1 <= 590 and 1.7e-12 for
-    600 < ||L t||_1 <= 1e4, where k reaches 200."""
+    """exp(-L t) of balanced digraphs past the range above, as products of
+    k pieces exp(-L t / k): every entry is positive, and each is accurate
+    relative to itself. The worst relative errors measured over 300 draws
+    on each of four seeds were 9.4e-14 for 50 < ||L t||_1 <= 590 and
+    1.7e-12 for 600 < ||L t||_1 <= 1e4, where k reaches 200."""
     for low, high, bound in ((50.0, 590.0, 1e-12), (600.0, 1e4, 4e-12)):
         for _ in range(60):
             lap = laplacian(random_balanced_digraph(int(rng.integers(2, 9)), rng))
@@ -136,15 +136,34 @@ def test_expm_overflow_guard():
 def test_expm_takes_any_norm_whose_exponential_is_finite(rng):
     """Only an e^{M t} that is not finite raises, with no RuntimeWarning (an
     error under this suite's settings): e^{-1000 I} underflows to 0, and a
-    consensus flow with ||L t||_1 = 1e6, 2e4 powers of its step, reaches the
-    average 1 1^T / n (to 2.2e-10 of it, the worst measured over 200
-    balanced digraphs; the error grows with the number of powers)."""
+    consensus flow with ||L t||_1 = 1e6, the product of 2e4 pieces,
+    reaches the average 1 1^T / n (to 2.8e-10 of it, the worst measured
+    over 200 balanced digraphs; the error grows with the number of
+    pieces)."""
     np.testing.assert_array_equal(matrix_exponential(np.eye(2) * -1000.0, 1.0), np.zeros((2, 2)))
     for _ in range(20):
         n = int(rng.integers(2, 9))
         lap = laplacian(random_balanced_digraph(n, rng))
         flow = matrix_exponential(-lap, 1e6 / np.linalg.norm(lap, 1))
         assert np.max(np.abs(flow * n - 1.0)) <= 1e-9
+
+
+def test_expm_of_a_polynomial_flow_is_accurate_past_the_kernels_range(rng):
+    """configs/linear_et_2d.cfg's G, whose F block is nilpotent (F^3 = 0
+    exactly), so that block of e^{G t} is exactly I + F t + F^2 t^2 / 2 and
+    grows polynomially. Over 200 random t for each range, the worst errors
+    relative to its largest entry, measured on these draws, are 4.9e-10
+    for ||G t||_1 <= 4000 and 3.5e-8 for <= 2e4: the pieces, multiplied one
+    at a time, keep the rounding polynomial too. A k-th power of one piece
+    is 2.8e-5 and 0.54 off on the same draws."""
+    _, lyap = double_integrator()
+    f = lyap.f
+    assert not (f @ f @ f).any()
+    for high, bound in ((4000.0, 1e-9), (2e4, 1e-7)):
+        for t in rng.uniform(0.0, high, 200) / np.linalg.norm(lyap.g, 1):
+            exact = np.eye(4) + f * t + f @ f * (t * t / 2.0)
+            error = np.abs(matrix_exponential(lyap.g, t)[:4, :4] - exact).max()
+            assert error <= bound * np.abs(exact).max(), (high, t)
 
 
 # -- design -----------------------------------------------------------------------
