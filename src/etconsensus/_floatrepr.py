@@ -55,6 +55,11 @@ _TOP_EXP = 1077  # biased exponents from here on (e2 >= 0, nan, inf) share an en
 _DMIN, _DMAX = -323, 17  # decpt of 5e-324 and of the largest value below 2^54
 _FIXED = (-3, 16)  # decpt range of fixed notation; the layout clamps to one beyond
 
+#: CSV rows are rendered in blocks of whole rows (at least one) of about this
+#: many values: a larger block spreads a call's cost over more values, and
+#: holds more of its numpy temporaries at once.
+CSV_BLOCK = 4000
+
 
 class _Tables:
     """Per-exponent multipliers, and the layout words per (decpt, digits)."""
@@ -289,3 +294,15 @@ def render_bytes(values: np.ndarray, ends: bytes) -> bytes:
     tail = np.frombuffer(ends, dtype=np.uint8).astype(_U) << _U(56)
     words = _words(values.view(_U).ravel(), tail)
     return words.tobytes().translate(None, b"\0")
+
+
+def plain_blocks(head: str, columns):
+    """Yield the CSV text of the columns (1-d, or 2-d for several) side by
+    side, after head, in blocks of whole rows (at least one) of about
+    CSV_BLOCK values: one ``render`` call per block."""
+    cols = sum(c.shape[1] if c.ndim > 1 else 1 for c in columns)
+    rows = max(1, CSV_BLOCK // cols)
+    for start in range(0, len(columns[0]), rows):
+        block = slice(start, start + rows)
+        yield head + render(np.column_stack([c[block] for c in columns]), b"," * (cols - 1) + b"\n")
+        head = ""

@@ -26,44 +26,33 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import (
-    ExperimentConfig,
-    apply_overrides,
-    load_config,
-    load_linear_et_config,
-    sweep_points,
-)
-from .engine import (
-    _plain_blocks,
-    events_to_csv,
-    min_inter_event_bound_centralized,
-    convergence_radius_time_trigger,
-    simulate_ideal,
-    simulate_triggered,
-    trace_to_csv,
-)
 from .errors import EtConsensusError, ZenoAbort
-from .graph import WeightedDigraph, spectral_info, validate_graph
-from .linear_et import default_t_max, design, min_inter_event_time, simulate_sample_hold
-from .metrics import (
-    RunMetrics,
-    _read_cell,
-    compute_run_metrics,
-    metrics_csv_header,
-    metrics_csv_row,
-    metrics_kv_block,
-    parse_metrics_csv,
-)
-from .triggers import (
-    CentralizedNorm,
-    PeriodicStateDependent,
-    TimeDependent,
-    max_admissible_period,
-)
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+    from .graph import WeightedDigraph
+    from .metrics import RunMetrics
+    from .triggers import PeriodicStateDependent
+
+# Each command imports the modules it runs when it runs: ``--version`` and
+# ``--help`` load no numpy, ``linear-et`` no engine, graph, triggers or
+# metrics, and ``run`` of a triggered law no linear_et. Names are imported
+# per call, never kept in this module's globals, so a function replaced on
+# its module is the one that runs.
+
+
+def __getattr__(name: str):
+    """The package's exported names, resolved as the package resolves them.
+    This module held the ones it used before its commands imported per call,
+    and callers (such as the benchmark's tracer) still read them here."""
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CONSERVATION_BOUND = 1e-8
 
@@ -88,6 +77,10 @@ def check_bounds(m: RunMetrics, law, g: WeightedDigraph, dt: float) -> tuple:
     Raises what ``validate_graph`` raises, as a run on g would; only the
     ideal, centralized and time-dependent lines compute the spectrum.
     """
+    from .engine import convergence_radius_time_trigger, min_inter_event_bound_centralized
+    from .graph import spectral_info, validate_graph
+    from .triggers import CentralizedNorm, PeriodicStateDependent, TimeDependent
+
     validate_graph(g)
     checks = []
 
@@ -119,6 +112,10 @@ def check_bounds(m: RunMetrics, law, g: WeightedDigraph, dt: float) -> tuple:
 
 def _admissible_period(law: PeriodicStateDependent, g: WeightedDigraph) -> float:
     """h* of the periodic law on g, for its largest sigma_i."""
+    import numpy as np
+
+    from .triggers import max_admissible_period
+
     sigma_i = law.sigma_i
     sigma = float(sigma_i) if np.isscalar(sigma_i) else float(max(sigma_i))
     return max_admissible_period(sigma, g.max_weight, g.max_out_neighbors)
@@ -143,6 +140,8 @@ def format_bound_report(checks) -> str:
 # ---------------------------------------------------------------------------
 
 def _warn_periodic(law, g) -> None:
+    from .triggers import PeriodicStateDependent
+
     if not isinstance(law, PeriodicStateDependent):
         return
     h_star = _admissible_period(law, g)
@@ -155,6 +154,8 @@ def _warn_periodic(law, g) -> None:
 
 
 def _simulate(cfg: ExperimentConfig, law, sim):
+    from .engine import simulate_ideal, simulate_triggered
+
     if law is None:
         return simulate_ideal(cfg.graph, cfg.x0, sim)
     return simulate_triggered(cfg.graph, law, cfg.x0, sim)
@@ -231,6 +232,10 @@ def _remove_earlier_run(out_dir: Path) -> None:
 
 
 def cmd_run(args) -> int:
+    from .config import apply_overrides, load_config, sweep_points
+    from .engine import events_to_csv, trace_to_csv
+    from .metrics import compute_run_metrics, metrics_csv_header, metrics_csv_row, metrics_kv_block
+
     cfg = load_config(args.config)
     out_dir = Path(args.output_dir or cfg.output_dir)
     points = sweep_points(cfg)
@@ -275,6 +280,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
+    from .config import apply_overrides, load_config
+    from .metrics import _read_cell, parse_metrics_csv
+
     cfg = load_config(args.config)
     extra_cols, rows = parse_metrics_csv(Path(args.metrics).read_text())
     for row, (extras, m) in enumerate(rows, 1):
@@ -293,6 +301,12 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_linear_et(args) -> int:
+    import numpy as np
+
+    from ._floatrepr import plain_blocks
+    from .config import load_linear_et_config
+    from .linear_et import default_t_max, design, min_inter_event_time, simulate_sample_hold
+
     lcfg = load_linear_et_config(args.config)
     out_dir = Path(args.output_dir or lcfg.output_dir)
     # A failed rerun leaves neither file of an earlier run.
@@ -309,7 +323,7 @@ def cmd_linear_et(args) -> int:
     with _streaming(out_dir / "linear_et_trace.csv") as write:
         head = "t," + ",".join(f"x_{i}" for i in range(lyap.n)) + ",V,S\n"
         columns = (trace.times, trace.states, trace.v_values, trace.s_values)
-        for text in _plain_blocks(head, columns):  # the first sample is t = 0
+        for text in plain_blocks(head, columns):  # the first sample is t = 0
             write(text)
     ev_lines = ["l,t,gap"]
     for idx, t in enumerate(trace.event_times):

@@ -13,23 +13,19 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .engine import SimConfig, sim_config
 from .errors import ConfigError, InvalidParameter
-from .graph import WeightedDigraph, graph_from_fields, load_graph
-from .triggers import (
-    CentralizedNorm,
-    DecentralizedState,
-    DirectedStateDependent,
-    PeriodicStateDependent,
-    StateDependent,
-    TimeDependent,
-    TriggerLaw,
-    validate_law,
-)
+
+# The run-config path (``load_config``, ``apply_overrides``) imports the
+# graph, triggers and engine modules when it runs, so that parsing a
+# [linear_et] file loads only this module and ``errors``.
+if TYPE_CHECKING:
+    from .engine import SimConfig
+    from .graph import WeightedDigraph
+    from .triggers import TriggerLaw
 
 
 class Xorshift64Star:
@@ -72,16 +68,17 @@ def random_x0(seed: int, lo: float, hi: float, n: int) -> np.ndarray:
 # Experiment configs
 # ---------------------------------------------------------------------------
 
-#: law.type -> (law class, required keys, whether sigma_i is accepted). Every
-#: config key is also the name of the law's dataclass field.
+#: law.type -> (name of the law class in ``triggers``, required keys, whether
+#: sigma_i is accepted). Every config key is also the name of the law's
+#: dataclass field.
 LAWS = {
     "ideal": (None, (), False),
-    "centralized": (CentralizedNorm, ("sigma",), False),
-    "decentralized_state": (DecentralizedState, ("a",), True),
-    "time_dependent": (TimeDependent, ("c0", "c1", "alpha"), False),
-    "state_dependent": (StateDependent, (), True),
-    "directed_state_dependent": (DirectedStateDependent, (), True),
-    "periodic_state_dependent": (PeriodicStateDependent, ("h",), True),
+    "centralized": ("CentralizedNorm", ("sigma",), False),
+    "decentralized_state": ("DecentralizedState", ("a",), True),
+    "time_dependent": ("TimeDependent", ("c0", "c1", "alpha"), False),
+    "state_dependent": ("StateDependent", (), True),
+    "directed_state_dependent": ("DirectedStateDependent", (), True),
+    "periodic_state_dependent": ("PeriodicStateDependent", ("h",), True),
 }
 
 SIM_KEYS = ("dt", "horizon", "zeno_floor")
@@ -120,8 +117,15 @@ def _parser(path: Path) -> configparser.ConfigParser:
 
 
 def _floats(raw: str, field: str) -> list:
+    """The comma-separated numbers of raw; none if raw is blank. An empty
+    entry (``1, , 2``, or a trailing comma) is an error, not skipped."""
+    if not raw.strip():
+        return []
+    tokens = raw.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ConfigError(f"{field}: empty entry in {raw!r}")
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in tokens]
     except ValueError:
         raise ConfigError(f"{field}: expected comma-separated numbers, got {raw!r}")
     if not all(math.isfinite(v) for v in values):
@@ -140,6 +144,8 @@ def _float(raw: str, field: str) -> float:
 
 
 def _parse_graph_section(parser, base: Path) -> WeightedDigraph:
+    from .graph import graph_from_fields, load_graph
+
     if not parser.has_section("graph"):
         raise ConfigError("missing [graph] section")
     section = dict(parser.items("graph"))
@@ -180,13 +186,15 @@ def _parse_law_section(parser, g: WeightedDigraph):
         raise ConfigError(
             f"law.type: unknown law {law_type!r}; choose from {sorted(LAWS)}"
         )
-    cls, required, has_sigma_i = LAWS[law_type]
+    cls_name, required, has_sigma_i = LAWS[law_type]
     keys = required + ("sigma_i",) * has_sigma_i
     unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"law: keys {sorted(unknown)} not valid for type {law_type}")
-    if cls is None:
+    if cls_name is None:
         return None
+    from . import triggers
+
     for key in required:
         if key not in section:
             raise ConfigError(f"law.{key}: missing")
@@ -195,8 +203,8 @@ def _parse_law_section(parser, g: WeightedDigraph):
         values = _floats(section["sigma_i"], "law.sigma_i")
         kwargs["sigma_i"] = values[0] if len(values) == 1 else tuple(values)
     try:
-        law = cls(**kwargs)
-        validate_law(law, g)
+        law = getattr(triggers, cls_name)(**kwargs)
+        triggers.validate_law(law, g)
     except InvalidParameter as exc:
         raise ConfigError(f"law: {exc}")
     return law
@@ -212,6 +220,8 @@ def _parse_sim_section(parser, g: WeightedDigraph):
     if "horizon" not in section:
         raise ConfigError("sim.horizon: missing")
     kwargs = {key: _float(section[key], f"sim.{key}") for key in SIM_KEYS if key in section}
+    from .engine import sim_config
+
     try:
         return sim_config(g, **kwargs)
     except InvalidParameter as exc:
@@ -321,6 +331,8 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict):
             else:
                 sim_fields[field] = float(value)
         if law is not None:
+            from .triggers import validate_law
+
             validate_law(law, cfg.graph)
         sim = dataclasses.replace(cfg.sim, **sim_fields)
     except InvalidParameter as exc:

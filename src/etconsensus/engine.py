@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import InvalidParameter, ZenoAbort
 from .graph import WeightedDigraph, laplacian, spectral_info, validate_graph
-from .linear_et import matrix_exponential
 from .triggers import (
     CentralizedNorm,
     DecentralizedState,
@@ -200,6 +199,8 @@ def simulate_ideal(g: WeightedDigraph, x0, cfg: SimConfig) -> Trace:
     Each step applies the exact propagator exp(-L dt); a truncated last step
     uses one more exponential over its own length.
     """
+    from .linear_et import matrix_exponential  # only the ideal controller uses it
+
     validate_graph(g)
     x0 = _check_x0(g, x0)
     lap = laplacian(g)
@@ -645,12 +646,6 @@ def convergence_radius_time_trigger(g: WeightedDigraph, c0: float) -> float:
 # CSV export
 # ---------------------------------------------------------------------------
 
-#: Trace rows are rendered in blocks of whole rows (at least one) of about this
-#: many values: a larger block spreads the formatter's per-call cost over more
-#: values, and holds more of its numpy temporaries at once.
-_CSV_BLOCK = 4000
-
-
 def trace_to_csv(trace: Trace, write: Optional[Callable[[str], object]] = None) -> Optional[str]:
     """Render the sampled trajectory as CSV: t, x_0.., xhat_0.., V.
 
@@ -674,23 +669,10 @@ def trace_to_csv(trace: Trace, write: Optional[Callable[[str], object]] = None) 
     return None
 
 
-def _plain_blocks(head: str, columns):
-    """Yield the CSV text of the columns (1-d, or 2-d for several) side by
-    side, after head, in blocks of whole rows (at least one) of about
-    _CSV_BLOCK values: one ``_floatrepr.render`` call per block."""
-    from ._floatrepr import render  # on first use, so that importing the package does not load it
-
-    cols = sum(c.shape[1] if c.ndim > 1 else 1 for c in columns)
-    rows = max(1, _CSV_BLOCK // cols)
-    for start in range(0, len(columns[0]), rows):
-        block = slice(start, start + rows)
-        yield head + render(np.column_stack([c[block] for c in columns]), b"," * (cols - 1) + b"\n")
-        head = ""
-
-
 def _trace_blocks(trace: Trace):
     """Yield ``trace_to_csv``'s text, one block of rows at a time."""
-    from ._floatrepr import render_bytes  # on first use, so that importing the package does not load it
+    # On first use, so that importing this module does not load the formatter.
+    from ._floatrepr import CSV_BLOCK, plain_blocks, render_bytes
 
     n = trace.n
     times, states, lyap = trace.times, trace.states, trace.lyapunov
@@ -699,7 +681,7 @@ def _trace_blocks(trace: Trace):
         yield head
         return
     if not trace.events:
-        yield from _plain_blocks(head, (times, states, states, lyap))
+        yield from plain_blocks(head, (times, states, states, lyap))
         return
     # The rows events reach, the agents each sets, and their values in that
     # order; ``marks[k]:marks[k + 1]`` is reached[k]'s share of ``values``.
@@ -713,7 +695,7 @@ def _trace_blocks(trace: Trace):
     texts = [b"nan"] * n
     seg = b"," + b",".join(texts) + b","
     cols = n + 2
-    rows = max(1, _CSV_BLOCK // cols)
+    rows = max(1, CSV_BLOCK // cols)
     # A block renders its xhat values first, each ending in a vertical tab,
     # then its rows, in which x_{n-1} ends in a tab: the row's xhat text goes
     # there, by one bytes formatting call for the block.

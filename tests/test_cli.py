@@ -18,10 +18,10 @@ from etconsensus import (
     min_inter_event_bound_centralized,
     sim_config,
 )
+import etconsensus.config
 from etconsensus import _floatrepr, cli
 from etconsensus.cli import check_bounds, main
 from etconsensus.config import load_config, load_linear_et_config
-from etconsensus.engine import _CSV_BLOCK
 from etconsensus.linear_et import default_t_max, design, simulate_sample_hold
 from etconsensus.metrics import RunMetrics, parse_metrics_csv
 from helpers import assert_same_csv, random_linear_system
@@ -110,6 +110,19 @@ def test_run_names_x0_when_a_random_bound_does_not_parse(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     assert "run.x0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_exits_2_on_an_empty_x0_entry(tmp_path, capsys):
+    """``1, 2, , 3, 4, 5`` on directed_cycle5's five agents is an error that
+    names run.x0: skipping the empty entry would run five values."""
+    cfg = tmp_path / "cycle5.cfg"
+    text = (CONFIG_DIR / "directed_cycle5.cfg").read_text()
+    text = text.replace("file = graphs/", f"file = {CONFIG_DIR}/graphs/")
+    cfg.write_text(text.replace("x0 = random(3, -1, 1)", "x0 = 1, 2, , 3, 4, 5"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output-dir", str(out)]) == 2
+    assert "run.x0: empty entry" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, law, horizon, dt", [
@@ -378,7 +391,7 @@ def test_each_output_file_is_opened_once(tmp_path, monkeypatch, command):
     monkeypatch.setattr(cli, "_create", lambda path: opened.append(path) or create(path))
     assert main(argv) == 0
     assert sorted(opened) == sorted(trace.parent.iterdir())
-    assert trace.stat().st_size > 4 * _CSV_BLOCK
+    assert trace.stat().st_size > 4 * _floatrepr.CSV_BLOCK
 
 
 class FailingHandle:
@@ -506,7 +519,7 @@ def test_every_way_of_building_a_graph_gives_the_same_run(tmp_path, monkeypatch)
         cfg = tmp_path / ("inline.cfg" if name == "inline" else "file.cfg")
         with monkeypatch.context() as m:
             if name not in ("file", "inline"):
-                m.setattr(cli, "load_config", with_graph(g))
+                m.setattr(etconsensus.config, "load_config", with_graph(g))
             assert main(["run", str(cfg), "--quiet", "--output-dir", str(tmp_path / name)]) == 0
         outputs[name] = {f: (tmp_path / name / f).read_bytes()
                          for f in ("trace.csv", "events.csv", "metrics.txt", "metrics.csv")}

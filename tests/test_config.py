@@ -192,3 +192,36 @@ output_dir = results
     bad = text.replace("a = 0, 1, 0, 0", "a = 0, 1, 0")
     with pytest.raises(ConfigError, match="linear_et.a"):
         load_linear_et_config(write(tmp_path, bad, name="bad.cfg"))
+
+
+LINEAR_ET = """
+[linear_et]
+n = 2
+m = 1
+a = 0, 1, 0, 0
+b = 0, 1
+k = -2, -3
+q = 1, 0, 0, 1
+r = 0.5, 0, 0, 0.5
+x0 = 1, 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (BASE.replace("x0 = 1, -1", "x0 = 1, , -1"), "run.x0"),
+        (BASE.replace("x0 = 1, -1", "x0 = 1, -1,"), "run.x0"),
+        (BASE.replace("sigma_i = 0.5", "sigma_i = 0.5, ,0.5"), "law.sigma_i"),
+        (BASE + "\n[sweep]\nsim.horizon = 2, , 4\n", "sweep.sim.horizon"),
+        (LINEAR_ET.replace("a = 0, 1, 0, 0", "a = 0, 1, 0, , 0"), "linear_et.a"),
+        (LINEAR_ET.replace("x0 = 1, 0", "x0 = , 1, 0"), "linear_et.x0"),
+    ],
+    ids=["x0", "x0-trailing", "sigma_i", "sweep", "linear_et.a", "linear_et.x0-leading"],
+)
+def test_an_empty_entry_is_an_error_naming_its_key(tmp_path, text, key):
+    """An empty entry in a list of numbers is refused, not skipped: with it
+    skipped, ``1, , -1`` read as two values and passed the length check."""
+    load = load_linear_et_config if "[linear_et]" in text else load_config
+    with pytest.raises(ConfigError, match=f"{key}: empty entry"):
+        load(write(tmp_path, text))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tempfile
@@ -36,8 +37,8 @@ from etconsensus import (
     trace_to_csv,
 )
 from etconsensus import cli
+from etconsensus._floatrepr import CSV_BLOCK
 from etconsensus.config import apply_overrides, load_config, sweep_points
-from etconsensus.engine import _CSV_BLOCK
 from etconsensus.metrics import compute_run_metrics, inter_event_stats
 from helpers import assert_same_csv
 
@@ -253,6 +254,43 @@ def test_no_event_depends_on_dt():
     assert runs == 28
 
 
+@pytest.mark.parametrize("k", [10, -10])
+def test_scaling_x0_by_a_power_of_two_scales_every_run_exactly(k):
+    """Every law is homogeneous of degree one in the state. So for every run
+    config in configs/, at each point of its sweep (29 runs over the six laws
+    and the ideal controller), x0 times 2^k, and c0 and c1 too for the
+    time-dependent law, fires the same agents at the same float times. Every
+    event value and state row is the unscaled one times 2^k exactly, and
+    every V row times 4^k. The check needs no reference solution."""
+    scale = 2.0 ** k
+    runs = 0
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        if "[linear_et]" in path.read_text():
+            continue
+        cfg = load_config(path)
+        for overrides in sweep_points(cfg):
+            law, sim = apply_overrides(cfg, overrides) if overrides else (cfg.law, cfg.sim)
+            scaled_law = law
+            if isinstance(law, TimeDependent):
+                scaled_law = dataclasses.replace(law, c0=law.c0 * scale, c1=law.c1 * scale)
+            if law is None:
+                base = simulate_ideal(cfg.graph, cfg.x0, sim)
+                scaled = simulate_ideal(cfg.graph, cfg.x0 * scale, sim)
+            else:
+                base = simulate_triggered(cfg.graph, law, cfg.x0, sim)
+                scaled = simulate_triggered(cfg.graph, scaled_law, cfg.x0 * scale, sim)
+            runs += 1
+            where = f"{path.name} {overrides} at x0 * 2^{k}"
+            assert [(ev.t, ev.agent) for ev in scaled.events] == [
+                (ev.t, ev.agent) for ev in base.events], where
+            for ev, ev_scaled in zip(base.events, scaled.events):
+                assert np.array_equal(np.asarray(ev.value) * scale, ev_scaled.value), where
+            assert np.array_equal(scaled.times, base.times), where
+            assert np.array_equal(scaled.states, base.states * scale), where
+            assert np.array_equal(scaled.lyapunov, base.lyapunov * scale ** 2), where
+    assert runs == 29
+
+
 def test_periodic_condition_holds_at_sample_instants(cycle3):
     """After each decision instant every agent satisfies the broadcast-error
     inequality with the post-decision values. With dt = h / 4, row 4k lies
@@ -396,7 +434,7 @@ def held_rows(n, rows, changes, seed=0):
 
 def block_rows(n):
     """Rows per render block of an n-agent trace."""
-    return max(1, _CSV_BLOCK // (n + 2))
+    return max(1, CSV_BLOCK // (n + 2))
 
 
 def test_trace_csv_matches_per_element_formatter(p2, k3):
@@ -543,7 +581,7 @@ def balanced_run(n, seed, **kwargs):
 
 def spanning(n, dt):
     """Horizon at which an n-agent trace sampled every dt spans two render
-    blocks and part of a third, whatever _CSV_BLOCK is."""
+    blocks and part of a third, whatever CSV_BLOCK is."""
     return (2 * block_rows(n) + 1) * dt
 
 
