@@ -45,9 +45,9 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name: str):
-    """The package's exported names, resolved as the package resolves them.
-    This module held the ones it used before its commands imported per call,
-    and callers (such as the benchmark's tracer) still read them here."""
+    """The package's exported names, resolved as the package resolves them,
+    for callers that read the names a command uses from this module (the
+    benchmark's smoke test does); none is kept in its globals."""
     package = sys.modules[__package__]
     if name in package.__all__:
         return getattr(package, name)
